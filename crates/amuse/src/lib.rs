@@ -28,18 +28,19 @@
 //!   requests and responses; the physical frame size of every message
 //!   equals its modeled `wire_size`, so socket-channel accounting and
 //!   simulated accounting agree exactly.
-//! * [`socket`] — the real socket channel: [`socket::SocketChannel`]
-//!   speaks [`wire`] over TCP, [`socket::WorkerServer`] serves any
-//!   [`worker::ModelWorker`] behind a `TcpListener` (the `jungle-worker`
-//!   binary in `jc-deploy` wraps it).
-//! * [`reactor`] — the event-driven coupler core: a single-threaded
-//!   readiness [`reactor::Reactor`] owning every shard socket in
-//!   non-blocking mode, with incremental frame decoding
+//! * [`socket`] — the worker side of the socket channel:
+//!   [`socket::WorkerServer`] serves any [`worker::ModelWorker`] behind
+//!   a `TcpListener` (the `jungle-worker` binary in `jc-deploy` wraps
+//!   it), deduplicating resent frames so retries are idempotent.
+//! * [`reactor`] — the coupler side, and the one TCP client: a
+//!   single-threaded readiness [`reactor::Reactor`] owning every worker
+//!   socket in non-blocking mode, with incremental frame decoding
 //!   ([`reactor::FrameDecoder`]) and coalesced vectored writes.
-//!   [`reactor::ReactorChannel`] speaks the same [`wire`] protocol as
-//!   [`socket::SocketChannel`] — bitwise-identical results, pinned by
-//!   the `reactor_equivalence` test layer — but supports genuinely
-//!   pipelined requests across many shards from one thread.
+//!   [`reactor::ReactorChannel`] speaks [`wire`] to a
+//!   [`socket::WorkerServer`] — bitwise-identical results to
+//!   [`channel::LocalChannel`], pinned by the `reactor_equivalence`
+//!   test layer — and pipelines requests across many workers from one
+//!   thread.
 //! * [`shard`] — [`shard::ShardedChannel`] fans one logical model out
 //!   over a pool of workers: particle-range decomposition for state
 //!   ops, target scatter–gather for the coupling kick. When every
@@ -82,14 +83,12 @@ pub mod worker;
 
 pub use bridge::{Bridge, BridgeConfig, BridgeError, IterationReport, RecoveryPolicy};
 pub use channel::{Channel, ChannelStats, LocalChannel, ThreadChannel};
-pub use chaos::{ChaosStream, ChaosWriter, FaultKind, FaultPlan, RetryPolicy, StreamFaults};
+pub use chaos::{ChaosWriter, FaultKind, FaultPlan, RetryPolicy, StreamFaults};
 pub use checkpoint::{Checkpoint, CheckpointError, ModelState, Role};
 pub use cluster::EmbeddedCluster;
 pub use reactor::{FrameDecoder, Reactor, ReactorChannel};
 pub use shard::{ShardSupervisor, ShardedChannel};
-pub use socket::{
-    spawn_flaky_tcp_worker, spawn_tcp_worker, SocketChannel, WorkerFleet, WorkerServer,
-};
+pub use socket::{spawn_flaky_tcp_worker, spawn_tcp_worker, WorkerFleet, WorkerServer};
 pub use wire::WireError;
 pub use worker::{
     CouplingWorker, GravityWorker, HydroWorker, ModelWorker, Request, Response, StellarWorker,

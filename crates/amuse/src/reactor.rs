@@ -1,19 +1,27 @@
-//! The event-driven coupler core: one readiness-driven loop owning all
-//! shard sockets.
+//! The coupler's TCP client: one readiness-driven loop owning every
+//! worker socket.
 //!
-//! The blocking [`crate::SocketChannel`] drives each worker lock-step:
-//! write a frame, sleep in `read`, repeat — K shards cost K serialized
-//! round trips. This module replaces the transport underneath with a
-//! single-threaded reactor ([`Reactor`]): every shard socket is
-//! registered non-blocking under a connection token, a `poll(2)`-backed
-//! poller (the `polling` shim) reports readiness, and per-connection
-//! state machines make incremental progress — partial writes resume
-//! from where they stopped, partial reads accumulate in an incremental
-//! frame decoder ([`FrameDecoder`]) until a full v2 wire frame is
-//! available. [`ReactorChannel`] keeps the exact [`Channel`] surface
-//! (and byte accounting) of the blocking channel, so the bridge, the
-//! sharded pool, checkpointing, and the chaos layer run unchanged on
-//! top of it.
+//! This is the client half of the paper's "channel based on sockets"
+//! (the server half is [`crate::socket::WorkerServer`]). A
+//! single-threaded reactor ([`Reactor`]) registers every worker socket
+//! non-blocking under a connection token, a `poll(2)`-backed poller
+//! (the `polling` shim) reports readiness, and per-connection state
+//! machines make incremental progress — partial writes resume from
+//! where they stopped, partial reads accumulate in an incremental frame
+//! decoder ([`FrameDecoder`]) until a full v2 wire frame is available.
+//! [`ReactorChannel`] exposes the [`Channel`] surface over it: the same
+//! RPC and byte accounting as [`crate::LocalChannel`], so the bridge,
+//! the sharded pool, checkpointing, and the chaos layer run unchanged
+//! on top of it. A reactor with one connection is the lock-step
+//! client.
+//!
+//! # One reactor per bridge or pool
+//!
+//! [`Channel::submit`] is lazy: the frame leaves only at the next wait
+//! on the channel's *own* reactor. Register every channel of one bridge
+//! or pool on one shared reactor ([`Reactor::new_shared`]) — with a
+//! reactor per channel, the bridge's parallel gravity and hydro evolve
+//! would quietly run one after the other.
 //!
 //! # Pipelining
 //!
@@ -29,25 +37,34 @@
 //! reconnect-and-resend of two in-flight mutations could double-apply
 //! the first one. Depth-1 per connection (what [`crate::ShardedChannel`]
 //! uses — the fan-out is *across* connections) keeps the full
-//! retry/backoff/heal machinery of the blocking path.
+//! retry/backoff/heal machinery.
 //!
-//! # Equivalence with the blocking path
+//! # Failure handling
 //!
-//! [`ReactorChannel`] mirrors [`crate::SocketChannel`] observable
-//! behavior exactly: the same sequence stamping, the same
-//! [`crate::chaos::StreamFaults`] consumption points (one write draw
-//! per send attempt, one read draw per receive attempt, one refusal
-//! draw per reconnect), the same poison/retry/backoff state machine,
-//! and the same [`ChannelStats`] byte accounting. Timeouts come from
-//! bounding the poller wait with `JC_NET_TIMEOUT_MS` instead of
-//! `SO_RCVTIMEO` — a silent peer surfaces as the same transient
-//! `Io(TimedOut)`. `tests/reactor_equivalence.rs` pins full bridge runs
-//! over both transports to bitwise-identical results, and the chaos
-//! suites drive the same seeded fault schedules through both.
+//! Every request frame is sequence-stamped (`wire::set_seq`) so the
+//! server can deduplicate a resend. The first wire failure poisons the
+//! channel: frame alignment can no longer be trusted, so later calls
+//! fail fast with the original error (escalating to the heal/restore
+//! path). A channel built [`ReactorChannel::with_retry`] instead absorbs
+//! *transient* faults (see [`WireError::is_transient`]) in place: back
+//! off, reconnect, resend the identical frame. Chaos
+//! ([`crate::chaos::StreamFaults`]) is drawn at fixed frame-op
+//! boundaries — one write draw per send attempt, one read draw per
+//! receive attempt, one refusal draw per reconnect — so a seeded
+//! schedule replays identically. Every poller wait is bounded by
+//! `JC_NET_TIMEOUT_MS` (default 5000): a silent peer surfaces as a
+//! transient `Io(TimedOut)`, with or without retry.
+//!
+//! Byte accounting comes from the frames actually moved, and every
+//! frame is physically [`Request::wire_size`]/[`Response::wire_size`]
+//! bytes long, so the [`ChannelStats`] agree exactly with the modeled
+//! accounting of the in-process channels. Each logical call counts its
+//! frame once — a resend absorbed by the retry layer ticks `retries`
+//! instead of double-counting bytes, and a call that fails after its
+//! frame left still credits `bytes_out` for that frame.
 
 use crate::channel::{Channel, ChannelStats};
 use crate::chaos::{IoFault, RetryPolicy, StreamFaults};
-use crate::socket::net_timeout;
 use crate::wire::{self, WireError, HEADER_LEN, READ_CHUNK};
 use crate::worker::{ParticleData, Request, Response};
 use polling::{Event, Events, Poller};
@@ -57,6 +74,20 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::rc::Rc;
 use std::time::Duration;
+
+/// The client I/O timeout: `JC_NET_TIMEOUT_MS` (milliseconds, default
+/// 5000). Bounds every poller wait of a round trip and the teardown
+/// drains ([`ReactorChannel::shutdown_worker`], `Drop`). Read from the
+/// environment on every round trip — tests and harnesses adjust the
+/// knob between runs.
+pub(crate) fn net_timeout() -> Duration {
+    let ms = std::env::var("JC_NET_TIMEOUT_MS")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .filter(|&v| v > 0)
+        .unwrap_or(5_000);
+    Duration::from_millis(ms)
+}
 
 // --------------------------------------------------------------------------
 // incremental frame decoder
@@ -128,10 +159,10 @@ impl FrameDecoder {
         self.corrupt_next = false;
     }
 
-    /// Chaos hook: corrupt the first byte of the next frame at the
-    /// moment it arrives, as [`crate::chaos::ChaosStream`] does on the
-    /// blocking path. If header bytes already arrived, they are
-    /// corrupted retroactively (the flip would have landed on them);
+    /// Chaos hook: corrupt the first byte (the magic byte) of the next
+    /// frame at the moment it arrives (see
+    /// [`crate::chaos::IoFault::CorruptHeader`]). If header bytes
+    /// already arrived, they are corrupted retroactively (the flip would have landed on them);
     /// if the header was already *validated*, the resulting error is
     /// returned so the caller can surface it.
     pub fn corrupt_in_place(&mut self) -> Option<WireError> {
@@ -142,8 +173,8 @@ impl FrameDecoder {
         self.buf[0] ^= 0x01;
         if self.filled >= HEADER_LEN {
             // the header had already passed validation; re-validate the
-            // now-corrupt bytes to produce the error the blocking
-            // decoder would have reported
+            // now-corrupt bytes to produce the error a decoder seeing
+            // them on arrival would have reported
             self.total = None;
             return Some(
                 wire::parse_header(&self.buf[..HEADER_LEN]).err().unwrap_or(WireError::BadMagic(0)),
@@ -279,6 +310,9 @@ impl FrameDecoder {
 
 // --------------------------------------------------------------------------
 // the reactor
+
+/// Frames one vectored write coalesces at most.
+const MAX_IOV: usize = 16;
 
 /// Whether a connection's queued writes have fully left.
 enum FlushState {
@@ -485,8 +519,7 @@ impl Reactor {
     }
 
     /// Chaos `PartialWrite`: half the frame leaves, then the connection
-    /// is declared broken — exactly the blocking `ChaosStream` torn
-    /// write.
+    /// is declared broken — a torn write.
     fn partial_write(&mut self, token: usize, frame: Vec<u8>) {
         let conn = self.conn(token);
         let half = frame.len() / 2;
@@ -515,7 +548,9 @@ impl Reactor {
     }
 
     /// Non-blocking vectored flush: write as much of the queue as the
-    /// socket accepts, coalescing queued frames into one syscall.
+    /// socket accepts, coalescing up to [`MAX_IOV`] queued frames into
+    /// one syscall (frames beyond that go in the next loop turn). The
+    /// slice array lives on the stack, so a flush never allocates.
     fn try_flush(&mut self, token: usize) {
         let conn = self.conn(token);
         if conn.write_err.is_some() {
@@ -525,13 +560,12 @@ impl Reactor {
             let wrote = if conn.outq.len() == 1 {
                 conn.stream.write(&conn.outq[0][conn.out_pos..])
             } else {
-                let slices: Vec<IoSlice<'_>> = conn
-                    .outq
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| IoSlice::new(if i == 0 { &f[conn.out_pos..] } else { f }))
-                    .collect();
-                conn.stream.write_vectored(&slices)
+                let mut slices = [IoSlice::new(&[]); MAX_IOV];
+                let n = conn.outq.len().min(MAX_IOV);
+                for (i, (slot, f)) in slices.iter_mut().zip(&conn.outq).enumerate() {
+                    *slot = IoSlice::new(if i == 0 { &f[conn.out_pos..] } else { f });
+                }
+                conn.stream.write_vectored(&slices[..n])
             };
             match wrote {
                 Ok(mut n) => {
@@ -633,8 +667,7 @@ impl Reactor {
         Ok(n > 0)
     }
 
-    // ---- chaos draws, at the same frame-op boundaries as the blocking
-    // channel ----
+    // ---- chaos draws, one per frame op ----
 
     fn consume_write_fault(&mut self, token: usize) -> Option<IoFault> {
         self.conn(token).faults.as_mut()?.next_write()
@@ -655,8 +688,8 @@ impl Reactor {
     /// Chaos `CorruptHeader` for a receive attempt: corrupt whatever of
     /// the response has arrived (or arm the decoder for its first
     /// byte). If the response already completed into the ready slot,
-    /// the corruption is applied there — the error the blocking path
-    /// would have decoded replaces the clean result.
+    /// the corruption is applied there — the error the corrupt header
+    /// decodes to replaces the clean result.
     fn corrupt_response(&mut self, token: usize) {
         let conn = self.conn(token);
         if let Some(Ok(_)) = conn.ready {
@@ -677,9 +710,9 @@ impl Reactor {
 // the channel
 
 /// An RPC channel to one worker over a [`Reactor`]-owned non-blocking
-/// socket: the event-driven counterpart of [`crate::SocketChannel`],
-/// with identical request encoding, sequence stamping, retry/backoff,
-/// chaos injection, stats accounting, and teardown behavior.
+/// socket — the coupler's one TCP client (see the module docs for its
+/// sequence stamping, poison/retry discipline, chaos injection and
+/// stats accounting).
 pub struct ReactorChannel {
     reactor: Rc<RefCell<Reactor>>,
     token: usize,
@@ -687,17 +720,22 @@ pub struct ReactorChannel {
     stats: ChannelStats,
     /// Frame lengths of submitted-but-uncollected requests, in order.
     pending: VecDeque<u64>,
-    /// First wire-level failure; fail fast afterwards (see
-    /// [`crate::SocketChannel`]'s poison discipline).
+    /// First wire-level failure. After one, frame alignment can no
+    /// longer be trusted (a half-read payload would be parsed as
+    /// headers), so the channel fails fast with this error instead of
+    /// returning garbage forever.
     poisoned: Option<WireError>,
-    /// Send `Stop` on drop (disarmed after an explicit `Shutdown`).
-    stop_on_drop: bool,
+    /// Send `Stop` on drop (disarmed by
+    /// [`ReactorChannel::shutdown_worker`], so a stop frame is never
+    /// written at a server that already exited).
+    pub(crate) stop_on_drop: bool,
     /// Dialed address, for transparent reconnection.
     addr: Option<SocketAddr>,
     /// In-place retry policy for transient faults.
     retry: RetryPolicy,
-    /// Sequence stamp of the most recent frame (wraps, skipping 0).
-    seq: u16,
+    /// Sequence stamp of the most recent frame (wraps, skipping 0). A
+    /// resend reuses it, which is what lets the server deduplicate.
+    pub(crate) seq: u16,
     /// Chaos is armed on this channel (restricts pipeline depth to 1).
     has_faults: bool,
 }
@@ -729,11 +767,11 @@ impl ReactorChannel {
         })
     }
 
-    /// Enable bounded in-place retry for transient faults — the same
-    /// reconnect-and-resend discipline as
-    /// [`crate::SocketChannel::with_retry`]. No socket timeouts are
-    /// involved: the reactor bounds its poller waits with
-    /// `JC_NET_TIMEOUT_MS` instead.
+    /// Enable bounded in-place retry for transient faults (see
+    /// [`WireError::is_transient`]): on failure the channel reconnects
+    /// to the original address and resends the identical
+    /// sequence-stamped frame — the server's dedup makes that safe even
+    /// for mutating requests.
     pub fn with_retry(mut self, retry: RetryPolicy) -> ReactorChannel {
         self.retry = retry;
         self
@@ -741,8 +779,8 @@ impl ReactorChannel {
 
     /// Interpose deterministic fault injection on this channel's
     /// transport (see [`crate::chaos::FaultPlan`]). Faults are consumed
-    /// at the same frame-op boundaries as the blocking channel, so a
-    /// seeded schedule maps identically onto both transports.
+    /// at fixed frame-op boundaries, so a seeded schedule replays
+    /// identically.
     pub fn with_chaos(mut self, faults: StreamFaults) -> ReactorChannel {
         self.reactor.borrow_mut().set_faults(self.token, faults);
         self.has_faults = true;
@@ -752,6 +790,26 @@ impl ReactorChannel {
     /// The shared reactor this channel drives.
     pub fn reactor(&self) -> Rc<RefCell<Reactor>> {
         Rc::clone(&self.reactor)
+    }
+
+    /// Ask the server behind `addr` to terminate cleanly: one
+    /// [`Request::Shutdown`] round trip on a fresh connection (on its
+    /// own reactor), `true` iff the worker acknowledged before the
+    /// server exited. This is how supervisors and tests reap a worker
+    /// whose original channel is poisoned (a poisoned channel cannot
+    /// deliver `Stop`, and a server otherwise returns to `accept` and
+    /// lingers forever). The wait is bounded by `JC_NET_TIMEOUT_MS`:
+    /// the server serves connections sequentially, so if another
+    /// coupler still holds its current session this request waits in
+    /// the backlog, and a supervisor's teardown must not block forever
+    /// on it.
+    pub fn shutdown_worker(addr: impl ToSocketAddrs) -> bool {
+        let Ok(reactor) = Reactor::new_shared() else { return false };
+        let Ok(mut c) = ReactorChannel::connect(&reactor, addr, "shutdown") else {
+            return false;
+        };
+        c.stop_on_drop = false;
+        matches!(c.call(Request::Shutdown), Response::Ok { .. })
     }
 
     /// Encode one request with `build`, stamp it, and start it moving.
@@ -820,7 +878,7 @@ impl ReactorChannel {
 
     /// One receive attempt: draw the chaos read fault for this frame
     /// op, then drive the reactor until a response completes (or the
-    /// wait times out). Mirrors the blocking `recv` error-for-error.
+    /// wait times out).
     fn recv(&mut self, timeout: Duration) -> Result<u64, WireError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
@@ -868,10 +926,10 @@ impl ReactorChannel {
     }
 
     /// Tear down the stream and dial the stored address again,
-    /// clearing the poison on success. Chaos may deterministically
-    /// refuse the attempt. Mirrors the blocking reconnect exactly
-    /// (including shutting the old stream down *before* dialing, which
-    /// unwedges a server blocked mid-read on a torn frame).
+    /// clearing the poison on success (the new stream's framing is
+    /// trusted from scratch). Chaos may deterministically refuse the
+    /// attempt. The old stream is shut down *before* dialing, which
+    /// unwedges a server blocked mid-read on a torn frame.
     fn reconnect(&mut self) -> bool {
         let Some(addr) = self.addr else { return false };
         if self.reactor.borrow_mut().connect_refused(self.token) {
@@ -891,9 +949,14 @@ impl ReactorChannel {
         }
     }
 
-    /// Complete the oldest outstanding round trip, retrying transient
-    /// failures in place per the [`RetryPolicy`] — the verbatim
-    /// state machine of the blocking channel's `complete`.
+    /// Complete the oldest outstanding round trip, updating the stats
+    /// from the actual bytes moved. Transient failures (send *or*
+    /// receive) are retried in place per the [`RetryPolicy`]: back off,
+    /// reconnect, resend the identical frame — the server replays its
+    /// cached response if the original was applied, so the request
+    /// takes effect exactly once. A successful call counts once in the
+    /// stats, plus one `retries` tick per absorbed fault; fatal errors
+    /// (and exhausted retries) surface with the channel poisoned.
     fn complete_front(&mut self) -> Result<(), WireError> {
         let frame_len = self.pending.pop_front().expect("no outstanding call");
         let timeout = net_timeout();
@@ -915,8 +978,9 @@ impl ReactorChannel {
                     return Ok(());
                 }
                 Err(e) => {
-                    // same deadline discipline as the blocking channel:
-                    // stop before the next backoff crosses the budget
+                    // give up before the next backoff would cross the
+                    // per-request deadline, with the typed non-transient
+                    // error so the caller escalates instead of retrying
                     let over_deadline = started.is_some_and(|t0| {
                         t0.elapsed() + self.retry.backoff(attempt + 1) >= deadline.unwrap()
                     });
@@ -1096,10 +1160,12 @@ impl Channel for ReactorChannel {
 
 impl Drop for ReactorChannel {
     fn drop(&mut self) {
-        // Mirror the blocking channel's teardown: finish pushing any
-        // queued request bytes, drain the responses still owed (bounded
-        // by the net timeout), send Stop so the server's serve loop can
-        // exit, then shut the socket down.
+        // Best-effort teardown so the server's serve loop can exit:
+        // finish pushing any queued request bytes, drain the responses
+        // still owed (bounded by the net timeout, so a wedged worker
+        // cannot hang the drop), send Stop, then shut the socket down.
+        // Without the Stop the server would return to `accept` and wait
+        // for a client that never comes.
         let torn = self.reactor.borrow_mut().take_conn(self.token);
         let Some(torn) = torn else { return };
         let mut stream = torn.stream;
@@ -1133,7 +1199,6 @@ mod tests {
     use super::*;
     use crate::socket::spawn_tcp_worker;
     use crate::worker::GravityWorker;
-    use crate::SocketChannel;
     use jc_nbody::plummer::plummer_sphere;
     use jc_nbody::Backend;
 
@@ -1211,6 +1276,19 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_header_fault_flips_exactly_the_magic_byte() {
+        let mut frame = Vec::new();
+        wire::encode_kick(&[[0.5, 0.25, -1.0]; 3], &mut frame);
+        let mut d = FrameDecoder::new();
+        assert!(d.corrupt_in_place().is_none(), "armed before any byte arrived");
+        let (n, done) = d.feed(&frame[..10]).unwrap();
+        assert_eq!((n, done), (10, false));
+        assert_eq!(d.frame()[0], frame[0] ^ 0x01, "first byte flipped");
+        assert_eq!(&d.frame()[1..], &frame[1..10], "the rest untouched");
+        assert!(matches!(d.feed(&frame[10..]), Err(WireError::BadMagic(_))));
+    }
+
+    #[test]
     fn reactor_channel_roundtrips_against_a_real_worker() {
         let ics = plummer_sphere(32, 5);
         let (addr, handle) =
@@ -1233,15 +1311,17 @@ mod tests {
         let ics = plummer_sphere(24, 9);
         let dv = vec![[2e-4, -1e-4, 5e-4]; 24];
 
-        // blocking reference
+        // reference: blocking depth-1 round trips, one after the other
         let (addr, handle) = spawn_tcp_worker("grav-a", {
             let ics = ics.clone();
             move || GravityWorker::new(ics, Backend::Scalar)
         });
-        let mut blocking = SocketChannel::connect(addr, "grav-a").unwrap();
+        let reactor = Reactor::new_shared().unwrap();
+        let mut blocking = ReactorChannel::connect(&reactor, addr, "grav-a").unwrap();
         let mut snap_ref = ParticleData::default();
         assert!(blocking.snapshot_into(&mut snap_ref));
         let kick_ref = blocking.kick_slice(&dv);
+        let stats_ref = blocking.stats();
         drop(blocking);
         handle.join().unwrap().unwrap();
 
@@ -1258,6 +1338,33 @@ mod tests {
         assert_eq!(snap.pos, snap_ref.pos);
         assert_eq!(snap.vel, snap_ref.vel);
         assert!(matches!((&kick, &kick_ref), (Response::Ok { .. }, Response::Ok { .. })));
+        assert_eq!(ch.stats(), stats_ref, "pipelining is invisible to the accounting");
+        drop(ch);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_burst_deeper_than_one_vectored_write_stays_aligned() {
+        // more frames queued on one connection than one vectored write
+        // coalesces: the tail leaves on later loop turns, replies stay
+        // in order
+        let depth = 2 * MAX_IOV + 3;
+        let ics = plummer_sphere(8, 4);
+        let (addr, handle) =
+            spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::Scalar));
+        let reactor = Reactor::new_shared().unwrap();
+        let mut ch = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
+        let mut reference = ParticleData::default();
+        assert!(ch.snapshot_into(&mut reference));
+        for _ in 0..depth {
+            ch.submit_snapshot();
+        }
+        for _ in 0..depth {
+            let mut snap = ParticleData::default();
+            assert!(ch.collect_snapshot_into(&mut snap));
+            assert_eq!(snap.pos, reference.pos);
+        }
+        assert_eq!(ch.stats().calls, 1 + depth as u64);
         drop(ch);
         handle.join().unwrap().unwrap();
     }

@@ -38,7 +38,7 @@
 //! Failure semantics split into two tiers. *Transient* transport
 //! faults (timeouts, dropped connections, torn frames — anything
 //! [`crate::wire::WireError::is_transient`]) are absorbed **below**
-//! this layer: each [`SocketChannel`](crate::socket::SocketChannel)
+//! this layer: each [`ReactorChannel`](crate::ReactorChannel)
 //! stamps mutating requests with a sequence number and, under a
 //! [`RetryPolicy`](crate::chaos::RetryPolicy), resends the identical
 //! frame in place; the worker's last-applied-seq dedup cache makes the

@@ -5,7 +5,7 @@
 //! chosen so that the physical frame size of every message equals the
 //! modeled [`Request::wire_size`]/[`Response::wire_size`] exactly — the
 //! traffic accounting the in-process channels simulate is what a
-//! [`crate::SocketChannel`] actually puts on the wire.
+//! [`crate::ReactorChannel`] actually puts on the wire.
 //!
 //! ```text
 //! offset  size  field
@@ -70,7 +70,7 @@
 //!
 //! The `decode_*_into` functions are the coupler-side fast paths: they
 //! parse a response frame straight into caller-owned buffers, so a warm
-//! [`crate::SocketChannel`] round trip performs no heap allocation.
+//! [`crate::ReactorChannel`] round trip performs no heap allocation.
 //!
 //! # Sequence numbers and idempotent retry
 //!
@@ -78,7 +78,7 @@
 //! (little-endian u16, written by [`set_seq`], read back by
 //! [`frame_seq`]). `begin_frame` stamps 0 — "unsequenced" — so encoders
 //! that never retry are unchanged, and pre-seq peers (which wrote and
-//! ignored zeros here) stay wire-compatible. A [`crate::SocketChannel`]
+//! ignored zeros here) stay wire-compatible. A [`crate::ReactorChannel`]
 //! stamps each fresh request with the next nonzero sequence number and
 //! *reuses* it when it resends the same frame after a transient
 //! transport fault; the server ([`crate::WorkerServer`]) remembers the

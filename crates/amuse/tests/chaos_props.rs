@@ -9,14 +9,13 @@
 //! fault-free run, with every fault healed by the in-place
 //! sequence-numbered resend (no restore, no supervisor).
 
-use jc_amuse::channel::Channel;
+use jc_amuse::channel::{Channel, LocalChannel};
 use jc_amuse::chaos::{FaultPlan, RetryPolicy};
 use jc_amuse::checkpoint::ModelState;
 use jc_amuse::reactor::{Reactor, ReactorChannel};
 use jc_amuse::shard::ShardedChannel;
 use jc_amuse::socket::spawn_tcp_worker;
 use jc_amuse::worker::{GravityWorker, Request, Response};
-use jc_amuse::SocketChannel;
 use jc_nbody::plummer::plummer_sphere;
 use jc_nbody::Backend;
 use proptest::prelude::*;
@@ -70,15 +69,15 @@ fn state_bits(s: &ModelState) -> Vec<u64> {
     out
 }
 
-/// Scatter a Plummer sphere over a K-shard TCP gravity pool, mutate it
+/// Scatter a Plummer sphere over a K-shard gravity pool, mutate it
 /// (kicks, new masses), heartbeat it, and gather the final state. With
-/// `chaos`, the seed's transport faults are injected into every shard
-/// channel (crash fuses are out of scope here — this pool has no
-/// supervisor, so only the in-place retry tier may fire). With
-/// `reactor`, the pool runs over event-driven [`ReactorChannel`]s on
-/// one shared [`Reactor`] instead of blocking [`SocketChannel`]s — the
-/// same seeded schedule must be absorbed identically on both.
-fn pooled_final_state(seed: u64, k: usize, n: usize, chaos: bool, reactor: bool) -> Vec<u64> {
+/// `chaos`, the pool runs over [`ReactorChannel`]s on one shared
+/// [`Reactor`] to loopback TCP workers, with the seed's transport
+/// faults injected into every shard channel (crash fuses are out of
+/// scope here — this pool has no supervisor, so only the in-place retry
+/// tier may fire). Without, the shards are in-process
+/// [`LocalChannel`]s — the fault-free reference.
+fn pooled_final_state(seed: u64, k: usize, n: usize, chaos: bool) -> Vec<u64> {
     let plan = FaultPlan::seeded(seed);
     let retry =
         RetryPolicy { backoff_base_ms: 1, backoff_max_ms: 8, ..RetryPolicy::standard(seed) };
@@ -86,24 +85,18 @@ fn pooled_final_state(seed: u64, k: usize, n: usize, chaos: bool, reactor: bool)
     let mut handles = Vec::new();
     let shards: Vec<Box<dyn Channel>> = (0..k)
         .map(|i| {
-            let (addr, h) = spawn_tcp_worker(format!("g{i}"), || {
-                GravityWorker::new(plummer_sphere(1, 99), Backend::Scalar)
-            });
-            handles.push(h);
-            if reactor {
-                let mut ch =
-                    ReactorChannel::connect(&shared, addr, format!("g{i}")).expect("connect shard");
-                if chaos {
-                    ch = ch.with_retry(retry).with_chaos(plan.stream_faults(k, i));
-                }
-                Box::new(ch) as Box<dyn Channel>
-            } else {
-                let mut ch = SocketChannel::connect(addr, format!("g{i}")).expect("connect shard");
-                if chaos {
-                    ch = ch.with_retry(retry).with_chaos(plan.stream_faults(k, i));
-                }
-                Box::new(ch) as Box<dyn Channel>
+            let worker = || GravityWorker::new(plummer_sphere(1, 99), Backend::Scalar);
+            if !chaos {
+                return Box::new(LocalChannel::new(Box::new(worker()))) as Box<dyn Channel>;
             }
+            let (addr, h) = spawn_tcp_worker(format!("g{i}"), worker);
+            handles.push(h);
+            Box::new(
+                ReactorChannel::connect(&shared, addr, format!("g{i}"))
+                    .expect("connect shard")
+                    .with_retry(retry)
+                    .with_chaos(plan.stream_faults(k, i)),
+            ) as Box<dyn Channel>
         })
         .collect();
     let mut pool = ShardedChannel::with_counts(shards, vec![1; k]);
@@ -136,8 +129,8 @@ fn pooled_final_state(seed: u64, k: usize, n: usize, chaos: bool, reactor: bool)
 }
 
 proptest! {
-    // Each case spins up 1+2+3 chaos pools per transport plus a
-    // fault-free reference over real TCP — keep the case count small;
+    // Each case spins up 1+2+3 chaos pools over real TCP plus an
+    // in-process fault-free reference — keep the case count small;
     // the 32-seed soak in tests/chaos.rs carries the breadth.
     #![proptest_config(ProptestConfig::with_cases(3))]
     #[test]
@@ -145,15 +138,10 @@ proptest! {
         seed in any::<u64>(),
         n in 6usize..12,
     ) {
-        let reference = pooled_final_state(seed, 1, n, false, false);
+        let reference = pooled_final_state(seed, 1, n, false);
         for k in 1..=3usize {
-            for reactor in [false, true] {
-                let chaotic = pooled_final_state(seed, k, n, true, reactor);
-                prop_assert!(
-                    chaotic == reference,
-                    "JC_CHAOS_SEED={} diverged at k={} reactor={}", seed, k, reactor
-                );
-            }
+            let chaotic = pooled_final_state(seed, k, n, true);
+            prop_assert!(chaotic == reference, "JC_CHAOS_SEED={} diverged at k={}", seed, k);
         }
     }
 }

@@ -5,16 +5,15 @@
 //! Before the deadline existed, `max_retries` only capped *attempts*:
 //! a policy generous enough to ride out a flaky link (say 100 000
 //! retries) would let one request spin through backoff for minutes.
-//! These tests pin the bound on both transports — the blocking
-//! `SocketChannel` and the event-driven `ReactorChannel` — with the
-//! same deterministic seeded schedule, and pin that the failure
-//! surfaces as the *typed*, non-transient `DeadlineExceeded` (so the
-//! bridge escalates to heal/restore instead of retrying in place).
+//! These tests pin the bound on the TCP client, `ReactorChannel`, with
+//! a deterministic fault schedule, and pin that the failure surfaces as
+//! the *typed*, non-transient `DeadlineExceeded` (so the bridge
+//! escalates to heal/restore instead of retrying in place).
 
 use jc_amuse::channel::Channel;
 use jc_amuse::chaos::{IoFault, RetryPolicy, StreamFaults};
 use jc_amuse::worker::{GravityWorker, Request, Response};
-use jc_amuse::{Reactor, ReactorChannel, SocketChannel};
+use jc_amuse::{Reactor, ReactorChannel};
 use jc_nbody::plummer::plummer_sphere;
 use jc_nbody::Backend;
 use std::time::{Duration, Instant};
@@ -43,34 +42,6 @@ fn deadline_policy(seed: u64) -> RetryPolicy {
 }
 
 #[test]
-fn blocking_channel_honors_request_deadline_under_chaos() {
-    let ics = plummer_sphere(8, 3);
-    let (addr, handle) =
-        jc_amuse::spawn_tcp_worker("grav", move || GravityWorker::new(ics, Backend::Scalar));
-    let mut ch = SocketChannel::connect(addr, "grav")
-        .expect("connect")
-        .with_retry(deadline_policy(11))
-        .with_chaos(endless_read_timeouts(4096));
-    let t0 = Instant::now();
-    let resp = ch.call(Request::Ping);
-    let elapsed = t0.elapsed();
-    match resp {
-        Response::Error(msg) => {
-            assert!(msg.contains("deadline of 150 ms exceeded"), "typed deadline error: {msg}")
-        }
-        other => panic!("expected deadline error, got {other:?}"),
-    }
-    assert!(ch.stats().retries > 0, "the budget was spent on real retries");
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "deadline must bound wall-clock (took {elapsed:?} for a 150 ms budget)"
-    );
-    drop(ch); // poisoned: no Stop frame
-    assert!(SocketChannel::shutdown_worker(addr), "reap the worker");
-    handle.join().unwrap().unwrap();
-}
-
-#[test]
 fn reactor_channel_honors_request_deadline_under_chaos() {
     let ics = plummer_sphere(8, 3);
     let (addr, handle) =
@@ -94,8 +65,8 @@ fn reactor_channel_honors_request_deadline_under_chaos() {
         elapsed < Duration::from_secs(5),
         "deadline must bound wall-clock (took {elapsed:?} for a 150 ms budget)"
     );
-    drop(ch);
-    assert!(SocketChannel::shutdown_worker(addr), "reap the worker");
+    drop(ch); // poisoned: no Stop frame
+    assert!(ReactorChannel::shutdown_worker(addr), "reap the worker");
     handle.join().unwrap().unwrap();
 }
 
@@ -117,7 +88,8 @@ fn deadline_is_inert_on_a_healthy_channel_and_under_absorbable_chaos() {
     let faults = StreamFaults::default()
         .with_read(1, IoFault::ReadTimeout)
         .with_read(2, IoFault::ReadTimeout);
-    let mut ch = SocketChannel::connect(addr, "grav")
+    let reactor = Reactor::new_shared().expect("reactor");
+    let mut ch = ReactorChannel::connect(&reactor, addr, "grav")
         .expect("connect")
         .with_retry(RetryPolicy::standard(5).with_deadline(5_000))
         .with_chaos(faults);

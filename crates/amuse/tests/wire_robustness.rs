@@ -9,7 +9,7 @@ use jc_amuse::wire::{
     WireError, HEADER_LEN, MAX_PAYLOAD,
 };
 use jc_amuse::worker::{GravityWorker, ParticleData, Request, Response};
-use jc_amuse::{Channel, SocketChannel};
+use jc_amuse::{Channel, Reactor, ReactorChannel};
 use jc_nbody::plummer::plummer_sphere;
 use jc_nbody::Backend;
 use proptest::prelude::*;
@@ -220,7 +220,8 @@ fn server_rejects_hostile_frames_and_keeps_serving() {
     }
 
     // 3: a well-behaved client is still served
-    let mut c = SocketChannel::connect(addr, "grav").unwrap();
+    let reactor = Reactor::new_shared().unwrap();
+    let mut c = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
     assert!(matches!(c.call(Request::Ping), Response::Ok { .. }));
     drop(c); // sends Stop
     handle.join().unwrap().unwrap();

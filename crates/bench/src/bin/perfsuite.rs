@@ -14,8 +14,8 @@
 //! * `--quick` — small-N subset (CI per-PR job)
 //! * `--socket` — add transport-overhead rows: one bridge-style RPC
 //!   round trip (snapshot + kick) per transport — in-process
-//!   `LocalChannel`, blocking loopback-TCP `SocketChannel`
-//!   (`*_socket_lockstep`), and the pipelined `ReactorChannel`
+//!   `LocalChannel`, and the loopback-TCP `ReactorChannel` with one
+//!   request in flight (`*_socket_lockstep`) or both pipelined
 //!   (`*_socket`) — plus K=3 `ComputeKick` fan-out rows
 //!   (`coupling_fanout_k3` pipelined vs `_lockstep`) — so the
 //!   BENCH_*.json trajectory tracks what the wire costs on top of the
@@ -427,8 +427,8 @@ fn bench_sph_forces(n: usize, repeats: usize, simd: bool) -> Sample {
 enum Transport {
     /// In-process `LocalChannel` — the zero-wire reference.
     Local,
-    /// Blocking `SocketChannel`: one request in flight at a time, two
-    /// full round trips per step (the pre-reactor transport).
+    /// Depth-1 `ReactorChannel`: one request in flight at a time, two
+    /// full round trips per step.
     SocketLockstep,
     /// `ReactorChannel` with the snapshot and the kick submitted
     /// together — the event-driven coupler's production path, one
@@ -437,8 +437,8 @@ enum Transport {
 }
 
 /// One bridge-style RPC round trip — a full particle snapshot plus a
-/// kick — over an in-process channel, a blocking loopback TCP socket,
-/// or the pipelined reactor. The same worker, the same payloads: the
+/// kick — over an in-process channel, or over loopback TCP in lock-step
+/// or pipelined. The same worker, the same payloads: the
 /// difference between the rows is pure transport (encode + syscalls +
 /// wire + decode, and for the reactor row how many syscall round trips
 /// the step costs). `interactions_per_s` reports payload bytes/s for
@@ -446,7 +446,7 @@ enum Transport {
 fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sample {
     use jc_amuse::channel::{Channel, LocalChannel};
     use jc_amuse::worker::{GravityWorker, ParticleData, Request, Response};
-    use jc_amuse::{Reactor, ReactorChannel, SocketChannel};
+    use jc_amuse::{Reactor, ReactorChannel};
     use jc_nbody::Backend;
 
     let ics = plummer_sphere(n, 21);
@@ -475,35 +475,27 @@ fn bench_channel_roundtrip(n: usize, repeats: usize, transport: Transport) -> Sa
             });
             sample(ns)
         }
-        Transport::SocketLockstep => {
-            let (addr, handle) = jc_amuse::spawn_tcp_worker("perf-grav", move || {
-                GravityWorker::new(ics, Backend::Scalar)
-            });
-            let mut ch =
-                SocketChannel::connect(addr, "perf-grav").expect("connect loopback worker");
-            let ns = best_ns(repeats, || {
-                assert!(ch.snapshot_into(&mut snap));
-                assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
-            });
-            drop(ch); // sends Stop
-            let _ = handle.join();
-            sample(ns)
-        }
-        Transport::SocketPipelined => {
+        Transport::SocketLockstep | Transport::SocketPipelined => {
             let (addr, handle) = jc_amuse::spawn_tcp_worker("perf-grav", move || {
                 GravityWorker::new(ics, Backend::Scalar)
             });
             let reactor = Reactor::new_shared().expect("reactor");
             let mut ch = ReactorChannel::connect(&reactor, addr, "perf-grav")
                 .expect("connect loopback worker");
+            let pipelined = matches!(transport, Transport::SocketPipelined);
             let ns = best_ns(repeats, || {
-                // Both requests leave in one coalesced write; the kick
-                // does not depend on the snapshot, so this depth-2 is
-                // exactly what the bridge issues.
-                ch.submit_snapshot();
-                ch.submit_kick_slice(&dv);
-                assert!(ch.collect_snapshot_into(&mut snap));
-                assert!(matches!(ch.collect_kick(), Response::Ok { .. }));
+                if pipelined {
+                    // Both requests leave in one coalesced write; the
+                    // kick does not depend on the snapshot, so this
+                    // depth-2 is exactly what the bridge issues.
+                    ch.submit_snapshot();
+                    ch.submit_kick_slice(&dv);
+                    assert!(ch.collect_snapshot_into(&mut snap));
+                    assert!(matches!(ch.collect_kick(), Response::Ok { .. }));
+                } else {
+                    assert!(ch.snapshot_into(&mut snap));
+                    assert!(matches!(ch.kick_slice(&dv), Response::Ok { .. }));
+                }
             });
             drop(ch); // sends Stop
             let _ = handle.join();
@@ -728,8 +720,11 @@ fn report_transport_overhead(samples: &[Sample]) {
         s.kernel == "channel_roundtrip_socket" || s.kernel == "channel_roundtrip_socket_lockstep"
     }) {
         if let Some(local) = find("channel_roundtrip_local", s.n) {
-            let label =
-                if s.kernel.ends_with("_lockstep") { "blocking socket" } else { "reactor socket" };
+            let label = if s.kernel.ends_with("_lockstep") {
+                "lock-step socket"
+            } else {
+                "pipelined socket"
+            };
             println!(
                 "{label} transport overhead at N={}: {:.2}x local round trip ({:.1} MB/s payload)",
                 s.n,

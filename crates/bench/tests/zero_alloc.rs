@@ -166,22 +166,32 @@ fn hermite_step_steady_state_allocates_nothing() {
     assert!(g.force_evals > evals0, "sanity: steps actually ran");
 }
 
-#[test]
-fn socket_channel_coupler_hot_path_allocates_nothing() {
-    // A real TCP round trip: the coupler-side fast paths must encode
-    // straight from borrowed slices into the channel's reused write
-    // buffer and decode straight into caller-owned buffers. The server
-    // runs on its own thread, so its work is invisible to this thread's
-    // allocation counter — exactly the boundary we are proving.
-    use jc_amuse::{Channel, Response, SocketChannel};
-    let n = 256usize;
+/// A [`jc_amuse::ReactorChannel`] to a loopback gravity worker of `n`
+/// particles, on its own reactor, plus the server thread's handle.
+fn reactor_gravity_channel(
+    n: usize,
+) -> (jc_amuse::ReactorChannel, std::thread::JoinHandle<std::io::Result<()>>) {
     let (addr, handle) = jc_amuse::spawn_tcp_worker("grav", move || {
         jc_amuse::GravityWorker::new(
             jc_nbody::plummer::plummer_sphere(n, 9),
             jc_nbody::Backend::Scalar,
         )
     });
-    let mut ch = SocketChannel::connect(addr, "grav").unwrap();
+    let reactor = jc_amuse::Reactor::new_shared().unwrap();
+    (jc_amuse::ReactorChannel::connect(&reactor, addr, "grav").unwrap(), handle)
+}
+
+#[test]
+fn socket_channel_coupler_hot_path_allocates_nothing() {
+    // A real TCP round trip: the coupler-side fast paths must encode
+    // straight from borrowed slices into the channel's recycled frame
+    // buffers, poll without building a fresh fd array, and decode
+    // straight into caller-owned buffers. The server runs on its own
+    // thread, so its work is invisible to this thread's allocation
+    // counter — exactly the boundary we are proving.
+    use jc_amuse::{Channel, Response};
+    let n = 256usize;
+    let (mut ch, handle) = reactor_gravity_channel(n);
     let mut snap = jc_amuse::worker::ParticleData::default();
     let dv = vec![[1e-9; 3]; n];
     // warm: grow the channel's encode/decode buffers and the snapshot
@@ -200,10 +210,37 @@ fn socket_channel_coupler_hot_path_allocates_nothing() {
 }
 
 #[test]
+fn pipelined_socket_snapshot_and_kick_allocate_nothing() {
+    // Depth 2 on one connection: both frames queue before either reply
+    // is awaited, so they leave in one vectored write — whose slice
+    // array must live on the stack, not in a fresh Vec.
+    use jc_amuse::{Channel, Response};
+    let n = 256usize;
+    let (mut ch, handle) = reactor_gravity_channel(n);
+    let mut snap = jc_amuse::worker::ParticleData::default();
+    let dv = vec![[1e-9; 3]; n];
+    let mut step = |ch: &mut jc_amuse::ReactorChannel| {
+        ch.submit_snapshot();
+        ch.submit_kick_slice(&dv);
+        assert!(ch.collect_snapshot_into(&mut snap));
+        assert!(matches!(ch.collect_kick(), Response::Ok { .. }));
+    };
+    for _ in 0..3 {
+        step(&mut ch);
+    }
+    let allocs = count_allocs(|| step(&mut ch));
+    assert_eq!(allocs, 0, "pipelined snapshot+kick made {allocs} heap allocations");
+    assert_eq!(snap.mass.len(), n, "sanity: snapshots actually crossed the wire");
+    drop(ch);
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn socket_compute_kick_steady_state_allocates_nothing() {
-    use jc_amuse::{Channel, SocketChannel};
+    use jc_amuse::Channel;
     let (addr, handle) = jc_amuse::spawn_tcp_worker("fi", jc_amuse::CouplingWorker::fi);
-    let mut ch = SocketChannel::connect(addr, "fi").unwrap();
+    let reactor = jc_amuse::Reactor::new_shared().unwrap();
+    let mut ch = jc_amuse::ReactorChannel::connect(&reactor, addr, "fi").unwrap();
     let scene = jc_nbody::plummer::plummer_sphere(512, 4);
     let mut acc = Vec::new();
     for _ in 0..2 {

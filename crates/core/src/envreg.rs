@@ -28,8 +28,8 @@ pub const JC_ENV: &[(&str, &str)] = &[
     ),
     (
         "JC_NET_TIMEOUT_MS",
-        "Socket-channel read/write timeout in milliseconds (connects, drains, and retry-enabled \
-         channels); defaults to 5000.",
+        "Socket-channel I/O timeout in milliseconds (every round-trip wait, drains, and clean \
+         shutdowns); defaults to 5000.",
     ),
     (
         "JC_POOL_SIZE",

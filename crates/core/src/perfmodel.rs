@@ -2,9 +2,10 @@
 //!
 //! The paper's lab machines are gone; their sustained throughputs on these
 //! kernels are modeled here. The per-iteration work budgets (`WORK_*`) are
-//! calibrated against the four §6.2 scenario runtimes — see DESIGN.md
-//! ("Performance-model calibration") and EXPERIMENTS.md for the
-//! paper-vs-measured table. The *shape* constraints the calibration must
+//! calibrated against the four §6.2 scenario runtimes — the
+//! `table1_lab_scenarios` binary in `jc_bench` prints the
+//! paper-vs-modeled table, and `crates/core/tests/scenario_smoke.rs`
+//! pins it. The *shape* constraints the calibration must
 //! preserve: CPU-only is ~4× slower than a local GPU; a faster remote GPU
 //! (Tesla C2050, 30 km away) slightly beats the slow local GPU (GeForce
 //! 9600GT); the fully distributed jungle wins overall.

@@ -1,7 +1,7 @@
 //! jungle-worker — serve one model kernel over TCP.
 //!
 //! The standalone worker process of the AMUSE deployment story: a
-//! coupler (the Bridge) connects with a `SocketChannel` and drives the
+//! coupler (the Bridge) connects with a `ReactorChannel` and drives the
 //! kernel over the binary wire protocol. One process serves one worker;
 //! a sharded pool is K processes plus `--shard i/K` so each holds its
 //! contiguous slice of the particle range (the same split rule

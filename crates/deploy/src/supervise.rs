@@ -7,7 +7,7 @@
 //! ([`WorkerSpec`]) for each shard of a pool and implements
 //! [`jc_amuse::ShardSupervisor`], so a
 //! [`jc_amuse::ShardedChannel`] whose worker process dies gets a fresh
-//! process and a fresh [`SocketChannel`] to it — the coupler then
+//! process and a fresh [`ReactorChannel`] to it — the coupler then
 //! restores model state from its last checkpoint and replays
 //! (see `jc_amuse::bridge::Bridge::iteration_recovering`).
 //!
@@ -19,7 +19,6 @@
 use jc_amuse::channel::Channel;
 use jc_amuse::reactor::{Reactor, ReactorChannel};
 use jc_amuse::shard::ShardSupervisor;
-use jc_amuse::SocketChannel;
 use std::cell::RefCell;
 use std::io;
 use std::net::SocketAddr;
@@ -121,11 +120,11 @@ pub struct ProcessSupervisor {
     /// two supervisors in one process (parallel tests) must never read
     /// each other's port files.
     token: u64,
-    /// When set, every channel handed out (initial launch and respawn
-    /// alike) is a [`ReactorChannel`] registered on this shared event
-    /// loop instead of a blocking [`SocketChannel`], so a
-    /// [`jc_amuse::ShardedChannel`] over the pool fans out pipelined.
-    reactor: Option<Rc<RefCell<Reactor>>>,
+    /// The one event loop every channel handed out (initial launch and
+    /// respawn alike) is registered on, so a
+    /// [`jc_amuse::ShardedChannel`] or bridge over the pool fans out
+    /// pipelined.
+    reactor: Rc<RefCell<Reactor>>,
     /// When set, every channel handed out carries this retry policy
     /// (in-place resend of transient faults, optional per-request
     /// deadline) — the service layer's warm pools lease channels that
@@ -147,7 +146,7 @@ impl ProcessSupervisor {
             startup_timeout: Duration::from_secs(10),
             port_dir: std::env::temp_dir(),
             token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            reactor: None,
+            reactor: Reactor::new_shared().expect("create the supervisor's reactor"),
             retry: None,
         }
     }
@@ -156,17 +155,6 @@ impl ProcessSupervisor {
     /// [`ProcessSupervisor::spawn_all`] and every later respawn alike).
     pub fn with_retry(mut self, retry: jc_amuse::chaos::RetryPolicy) -> ProcessSupervisor {
         self.retry = Some(retry);
-        self
-    }
-
-    /// Hand out event-driven [`ReactorChannel`]s on `reactor` instead
-    /// of blocking [`SocketChannel`]s. Applies to [`spawn_all`] and to
-    /// every later [`ShardSupervisor::respawn`], so a healed pool stays
-    /// on the same transport it started on.
-    ///
-    /// [`spawn_all`]: ProcessSupervisor::spawn_all
-    pub fn with_reactor(mut self, reactor: Rc<RefCell<Reactor>>) -> ProcessSupervisor {
-        self.reactor = Some(reactor);
         self
     }
 
@@ -182,8 +170,8 @@ impl ProcessSupervisor {
         self.port_dir.join(format!("jungle-worker-{}-{}-{i}.port", std::process::id(), self.token))
     }
 
-    /// Launch one worker process and connect to it over whichever
-    /// transport this supervisor is configured for.
+    /// Launch one worker process and connect to it on the supervisor's
+    /// reactor.
     fn launch(&mut self, i: usize) -> io::Result<Box<dyn Channel>> {
         let port_file = self.port_file(i);
         let _ = std::fs::remove_file(&port_file);
@@ -215,22 +203,11 @@ impl ProcessSupervisor {
         let _ = std::fs::remove_file(&port_file);
         self.slots[i].addr = Some(addr);
         let name = format!("{}-{i}", self.specs[i].model);
-        match &self.reactor {
-            Some(r) => {
-                let mut ch = ReactorChannel::connect(r, addr, name)?;
-                if let Some(p) = &self.retry {
-                    ch = ch.with_retry(*p);
-                }
-                Ok(Box::new(ch))
-            }
-            None => {
-                let mut ch = SocketChannel::connect(addr, name)?;
-                if let Some(p) = &self.retry {
-                    ch = ch.with_retry(*p);
-                }
-                Ok(Box::new(ch))
-            }
+        let mut ch = ReactorChannel::connect(&self.reactor, addr, name)?;
+        if let Some(p) = &self.retry {
+            ch = ch.with_retry(*p);
         }
+        Ok(Box::new(ch))
     }
 
     /// Launch every worker and return one connected channel per spec
@@ -282,7 +259,7 @@ impl ProcessSupervisor {
     pub fn shutdown_all(&mut self) {
         for i in 0..self.slots.len() {
             if let Some(addr) = self.slots[i].addr {
-                let _ = SocketChannel::shutdown_worker(addr);
+                let _ = ReactorChannel::shutdown_worker(addr);
             }
             if let Some(mut child) = self.slots[i].child.take() {
                 // the server exited on Shutdown; wait() must not hang,

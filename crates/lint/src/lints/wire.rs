@@ -19,20 +19,19 @@
 //! The pass also covers the sequence-number header field (offset 6,
 //! the idempotent-retry handle): `parse_header`, `set_seq` and
 //! `frame_seq` in `wire.rs` must all name `SEQ_OFFSET` (a hardcoded
-//! offset in any one of them is silent stamp/parse drift), and the
-//! socket channel must reference `set_seq` (client stamping),
-//! `frame_seq` (server recognition) and `last_seq` (the dedup cache) —
-//! losing any leg silently turns "safe to resend" back into
-//! "double-applies on retry".
+//! offset in any one of them is silent stamp/parse drift). The worker
+//! server (`socket.rs`) must reference `frame_seq` (resend recognition)
+//! and `last_seq` (the dedup cache), and the TCP client (`reactor.rs`)
+//! must reference `set_seq` (client stamping) — losing any leg silently
+//! turns "safe to resend" back into "double-applies on retry".
 //!
-//! The event-driven channel (`reactor.rs`) is held to the same codec
-//! surface: it must reference `encode_request` / `decode_response`
-//! (frames built or parsed anywhere else escape every exhaustiveness
-//! check above), `set_seq` (pipelined retries must stay idempotent
-//! too), and `parse_header` (the incremental decoder sizes its payload
-//! buffer from a *validated* header, never raw bytes). This is what
-//! keeps "reactor path bitwise-identical to the blocking path" a
-//! structural property rather than a test-coverage hope.
+//! The client is also held to the codec surface: it must reference
+//! `encode_request` / `decode_response` (frames built or parsed
+//! anywhere else escape every exhaustiveness check above) and
+//! `parse_header` (the incremental decoder sizes its payload buffer
+//! from a *validated* header, never raw bytes). This is what keeps
+//! "TCP path bitwise-identical to the in-process path" a structural
+//! property rather than a test-coverage hope.
 
 use crate::lexer::Kind;
 use crate::{match_brace, Diagnostic, SourceFile};
@@ -44,9 +43,9 @@ const LINT: &str = "wire-exhaustiveness";
 pub const WIRE_PATH: &str = "crates/amuse/src/wire.rs";
 /// Where the `wire_size` traffic model lives.
 pub const WORKER_PATH: &str = "crates/amuse/src/worker.rs";
-/// Where the socket channel (seq stamping + server dedup) lives.
+/// Where the worker server (resend recognition + dedup) lives.
 pub const SOCKET_PATH: &str = "crates/amuse/src/socket.rs";
-/// Where the event-driven (reactor) channel lives.
+/// Where the TCP client (seq stamping, codec use) lives.
 pub const REACTOR_PATH: &str = "crates/amuse/src/reactor.rs";
 
 /// One parsed `pub const NAME: u8 = 0x..;` opcode.
@@ -192,7 +191,6 @@ pub fn check(
         let scode = s.code();
         let referenced = |name: &str| scode.iter().any(|&ti| s.tokens[ti].is_ident(name));
         for (name, why) in [
-            ("set_seq", "requests go out unsequenced, so a resent mutating request double-applies"),
             ("frame_seq", "the server cannot recognize a resent frame as a duplicate"),
             ("last_seq", "the dedup cache is gone — a replayed mutating request re-executes"),
         ] {
@@ -201,17 +199,17 @@ pub fn check(
                     path: s.path.clone(),
                     line: 1,
                     lint: LINT,
-                    message: format!("`{name}` is never referenced in the socket channel — {why}"),
+                    message: format!("`{name}` is never referenced in the worker server — {why}"),
                 });
             }
         }
     }
 
-    // Reactor legs: the non-blocking channel must build, stamp and
-    // parse frames through the exact same codec surface the blocking
-    // channel uses — a hand-rolled frame or header parse in the
-    // pipelined path would sit outside every exhaustiveness check
-    // above and outside the bitwise-equivalence guarantee.
+    // Client legs: the TCP client must build, stamp and parse frames
+    // through the shared codec surface — a hand-rolled frame or header
+    // parse in the pipelined path would sit outside every
+    // exhaustiveness check above and outside the bitwise-equivalence
+    // guarantee.
     if let Some(r) = reactor {
         let rcode = r.code();
         let referenced = |name: &str| rcode.iter().any(|&ti| r.tokens[ti].is_ident(name));
@@ -224,7 +222,7 @@ pub fn check(
             (
                 "decode_response",
                 "replies would be parsed outside the one decode surface the equivalence \
-                 tests pin to the blocking path",
+                 tests pin to the in-process path",
             ),
             (
                 "set_seq",
@@ -242,7 +240,7 @@ pub fn check(
                     path: r.path.clone(),
                     line: 1,
                     lint: LINT,
-                    message: format!("`{name}` is never referenced in the reactor channel — {why}"),
+                    message: format!("`{name}` is never referenced in the TCP client — {why}"),
                 });
             }
         }

@@ -1,4 +1,4 @@
-//! Fail fixture: the reactor channel builds frames through the shared
+//! Fail fixture: the TCP client builds frames through the shared
 //! encoder but parses replies by hand (no `decode_response`) and never
 //! stamps sequence numbers (no `set_seq`) — a pipelined retry would
 //! double-apply and the hand parse sits outside the exhaustiveness

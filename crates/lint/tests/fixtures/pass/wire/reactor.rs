@@ -1,4 +1,4 @@
-//! Pass fixture: the reactor channel goes through the shared codec
+//! Pass fixture: the TCP client goes through the shared codec
 //! surface on every leg — `encode_request` (frame building),
 //! `decode_response` (reply parsing), `set_seq` (idempotent-retry
 //! stamping) and `parse_header` (validated incremental decode).

@@ -170,7 +170,7 @@ fn main() {
 
     let t0 = Instant::now();
     let mut ids = Vec::with_capacity(args.sessions);
-    let (mut shed_overloaded, mut shed_quota) = (0u64, 0u64);
+    let (mut shed_overloaded, mut shed_quota, mut invalid) = (0u64, 0u64, 0u64);
     for i in 0..args.sessions {
         let tenant = format!("tenant-{}", i % args.tenants.max(1));
         let spec = SessionSpec {
@@ -186,6 +186,10 @@ fn main() {
             Err(SubmitError::Overloaded { .. }) => shed_overloaded += 1,
             Err(SubmitError::QuotaExceeded { .. }) => shed_quota += 1,
             Err(SubmitError::ShuttingDown) => unreachable!("not shutting down"),
+            Err(e @ SubmitError::InvalidSpec { .. }) => {
+                eprintln!("session {i} rejected: {e}");
+                invalid += 1;
+            }
         }
     }
 
@@ -219,7 +223,7 @@ fn main() {
     let p99 = percentile(&wall_ms, 0.99);
     let served = wall_ms.len() as u64;
     let submitted_total = args.sessions as u64;
-    let accounted = served + failed + shed_overloaded + shed_quota == submitted_total
+    let accounted = served + failed + shed_overloaded + shed_quota + invalid == submitted_total
         && counters.submitted == served + failed
         && counters.completed == served
         && counters.failed == failed;
@@ -228,7 +232,7 @@ fn main() {
         println!(
             "{{\"schema\":\"jc-service-load/v1\",\"sessions\":{submitted_total},\
              \"pool\":{pool_size},\"served\":{served},\"failed\":{failed},\
-             \"shed_overloaded\":{shed_overloaded},\"shed_quota\":{shed_quota},\
+             \"shed_overloaded\":{shed_overloaded},\"shed_quota\":{shed_quota},\"invalid\":{invalid},\
              \"migrations\":{migrations},\"chaos_kills\":{},\"rewarms\":{},\
              \"p50_ms\":{p50},\"p99_ms\":{p99},\"elapsed_ms\":{},\"accounting_clean\":{accounted}}}",
             counters.chaos_kills,
@@ -243,7 +247,8 @@ fn main() {
             elapsed.as_secs_f64()
         );
         println!(
-            "  served {served}  failed {failed}  shed {} (overloaded {shed_overloaded} / quota {shed_quota})",
+            "  served {served}  failed {failed}  shed {} (overloaded {shed_overloaded} / quota \
+             {shed_quota})  invalid {invalid}",
             shed_overloaded + shed_quota
         );
         println!(
@@ -253,6 +258,6 @@ fn main() {
         println!("  accounting clean: {accounted}");
     }
 
-    let ok = accounted && (args.allow_failures || failed == 0);
+    let ok = accounted && invalid == 0 && (args.allow_failures || failed == 0);
     std::process::exit(if ok { 0 } else { 1 });
 }

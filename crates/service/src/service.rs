@@ -230,8 +230,11 @@ impl Service {
     }
 
     /// Submit a session for `tenant`. Never blocks, never queues past
-    /// the configured bounds — rejections are immediate and typed.
+    /// the configured bounds — rejections are immediate and typed. A
+    /// spec that cannot run is rejected before admission
+    /// ([`SubmitError::InvalidSpec`]); it is neither submitted nor shed.
     pub fn submit(&self, tenant: &str, spec: SessionSpec) -> Result<SessionId, SubmitError> {
+        spec.validate()?;
         let mut st = self.shared.state.lock().unwrap();
         if st.shutting_down {
             return Err(SubmitError::ShuttingDown);

@@ -53,6 +53,31 @@ impl Default for SessionSpec {
     }
 }
 
+impl SessionSpec {
+    /// Check the scenario knobs [`jc_amuse::EmbeddedCluster::build`] and
+    /// the bridge assert on, so a bad spec is rejected at admission with
+    /// [`SubmitError::InvalidSpec`] instead of panicking the executor
+    /// thread that would run it.
+    pub fn validate(&self) -> Result<(), SubmitError> {
+        let invalid = |field: &'static str, reason: &'static str| {
+            Err(SubmitError::InvalidSpec { field, reason })
+        };
+        if self.stars == 0 {
+            return invalid("stars", "must be at least 1");
+        }
+        if self.gas == 0 {
+            return invalid("gas", "must be at least 1");
+        }
+        if !(self.gas_fraction > 0.0 && self.gas_fraction < 1.0) {
+            return invalid("gas_fraction", "must be finite and in (0, 1)");
+        }
+        if self.substeps == 0 {
+            return invalid("substeps", "must be at least 1");
+        }
+        Ok(())
+    }
+}
+
 /// Why a session terminated without completing. Every variant is a
 /// *terminal, typed* outcome — the ladder's last rung is never a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,6 +176,13 @@ pub enum SubmitError {
     },
     /// The service is draining for shutdown.
     ShuttingDown,
+    /// The spec cannot be run (see [`SessionSpec::validate`]).
+    InvalidSpec {
+        /// The offending [`SessionSpec`] field.
+        field: &'static str,
+        /// What the field must satisfy.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -166,6 +198,9 @@ impl std::fmt::Display for SubmitError {
                 )
             }
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
+            SubmitError::InvalidSpec { field, reason } => {
+                write!(f, "invalid session spec: `{field}` {reason}")
+            }
         }
     }
 }

@@ -215,3 +215,41 @@ fn pool_of_two_drains_a_burst_deterministically() {
     assert_eq!(service.counters().completed, 6);
     service.shutdown();
 }
+
+#[test]
+fn invalid_specs_are_rejected_at_admission_and_the_host_keeps_serving() {
+    // One host: were any of these admitted, its executor thread would
+    // die on the cluster build's assert and the valid spec behind them
+    // would never run.
+    let service = Service::new(ServiceConfig { pool_size: 1, ..ServiceConfig::default() });
+    let invalid = [
+        ("stars", SessionSpec { stars: 0, ..small_spec(1) }),
+        ("gas", SessionSpec { gas: 0, ..small_spec(1) }),
+        ("gas_fraction", SessionSpec { gas_fraction: f64::NAN, ..small_spec(1) }),
+        ("gas_fraction", SessionSpec { gas_fraction: f64::INFINITY, ..small_spec(1) }),
+        ("gas_fraction", SessionSpec { gas_fraction: 0.0, ..small_spec(1) }),
+        ("gas_fraction", SessionSpec { gas_fraction: 1.0, ..small_spec(1) }),
+        ("gas_fraction", SessionSpec { gas_fraction: -0.5, ..small_spec(1) }),
+        ("substeps", SessionSpec { substeps: 0, ..small_spec(1) }),
+    ];
+    for (expect, spec) in invalid {
+        match service.submit("t", spec) {
+            Err(SubmitError::InvalidSpec { field, .. }) => assert_eq!(field, expect),
+            other => panic!("`{expect}` spec must be rejected, got {other:?}"),
+        }
+    }
+    let spec = small_spec(5);
+    let id = service.submit("t", spec.clone()).expect("a valid spec is admitted");
+    // bounded wait: a dead executor must fail the test, not hang it
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !service.status(id).is_some_and(|s| s.is_terminal()) {
+        assert!(std::time::Instant::now() < deadline, "the valid session never finished");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let (digest, _, _) = completed(service.status(id));
+    assert_eq!(digest, baseline_digest(&spec));
+    let c = service.counters();
+    assert_eq!((c.submitted, c.completed, c.failed), (1, 1, 0), "rejections are not sessions");
+    assert_eq!((c.shed_overloaded, c.shed_quota), (0, 0), "rejections are not sheds");
+    service.shutdown();
+}

@@ -7,7 +7,7 @@
 //! fault, so 8 consecutive seeds cover every site): connection
 //! refusals, read/write timeouts, short reads, torn frames, corrupted
 //! headers, worker crashes, and checkpoint truncations. Transient
-//! faults are absorbed in place by the socket channel's
+//! faults are absorbed in place by the TCP client's
 //! sequence-numbered resend; crashes take the heavy path (supervisor
 //! respawn + checkpoint restore + replay). Either way the final state
 //! must be bit-for-bit the fault-free one.
@@ -23,13 +23,14 @@
 
 use jungle::amuse::channel::{Channel, LocalChannel};
 use jungle::amuse::chaos::{FaultPlan, RetryPolicy, KINDS};
+use jungle::amuse::reactor::{Reactor, ReactorChannel};
 use jungle::amuse::shard::ShardedChannel;
 use jungle::amuse::socket::{spawn_flaky_tcp_worker, spawn_tcp_worker};
 use jungle::amuse::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ParticleData, StellarWorker,
 };
 use jungle::amuse::{
-    Bridge, BridgeConfig, ChaosWriter, Checkpoint, EmbeddedCluster, RecoveryPolicy, SocketChannel,
+    Bridge, BridgeConfig, ChaosWriter, Checkpoint, EmbeddedCluster, RecoveryPolicy,
 };
 use jungle::nbody::Backend;
 use std::cell::RefCell;
@@ -93,6 +94,7 @@ fn run_seed(seed: u64, k: usize, reference: &Reference) -> Result<(u32, u64), St
     let plan = FaultPlan::seeded(seed);
     let c = cluster();
     let mut handles = Vec::new();
+    let reactor = Reactor::new_shared().expect("create reactor");
     let respawned: Rc<RefCell<Vec<std::thread::JoinHandle<std::io::Result<()>>>>> =
         Rc::new(RefCell::new(Vec::new()));
 
@@ -110,7 +112,7 @@ fn run_seed(seed: u64, k: usize, reference: &Reference) -> Result<(u32, u64), St
             let fuse = Arc::new(AtomicI64::new(plan.crash_fuse(k, i).unwrap_or(i64::MAX)));
             let (addr, h) = spawn_flaky_tcp_worker(format!("fi-{i}"), CouplingWorker::fi, fuse);
             handles.push(h);
-            let ch = SocketChannel::connect(addr, format!("fi-{i}"))
+            let ch = ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
                 .expect("connect shard")
                 .with_retry(retry)
                 .with_chaos(plan.stream_faults(k, i));
@@ -119,20 +121,22 @@ fn run_seed(seed: u64, k: usize, reference: &Reference) -> Result<(u32, u64), St
         .collect();
 
     let respawned_c = respawned.clone();
+    let respawn_reactor = reactor.clone();
     let supervisor = move |i: usize| -> Option<Box<dyn Channel>> {
         let (addr, h) = spawn_tcp_worker(format!("fi-{i}-respawn"), CouplingWorker::fi);
         respawned_c.borrow_mut().push(h);
-        Some(Box::new(SocketChannel::connect(addr, format!("fi-{i}-respawn")).ok()?)
+        let name = format!("fi-{i}-respawn");
+        Some(Box::new(ReactorChannel::connect(&respawn_reactor, addr, name).ok()?)
             as Box<dyn Channel>)
     };
     let pool =
         ShardedChannel::with_counts(shards, vec![0; k]).with_supervisor(Box::new(supervisor));
 
     let mut bridge = Bridge::new(
-        Box::new(SocketChannel::connect(g_addr, "grav").expect("connect gravity")),
-        Box::new(SocketChannel::connect(h_addr, "hydro").expect("connect hydro")),
+        Box::new(ReactorChannel::connect(&reactor, g_addr, "grav").expect("connect gravity")),
+        Box::new(ReactorChannel::connect(&reactor, h_addr, "hydro").expect("connect hydro")),
         Box::new(pool),
-        Some(Box::new(SocketChannel::connect(s_addr, "sse").expect("connect stellar"))),
+        Some(Box::new(ReactorChannel::connect(&reactor, s_addr, "sse").expect("connect stellar"))),
         config(&c),
     );
 

@@ -56,7 +56,9 @@ fn main() {
             Ok(id) => ids.push(id),
             Err(SubmitError::Overloaded { .. }) => shed_overloaded += 1,
             Err(SubmitError::QuotaExceeded { .. }) => shed_quota += 1,
-            Err(e @ SubmitError::ShuttingDown) => panic!("unexpected rejection: {e}"),
+            Err(e @ (SubmitError::ShuttingDown | SubmitError::InvalidSpec { .. })) => {
+                panic!("unexpected rejection: {e}")
+            }
         }
     }
     let submitted = t0.elapsed();

@@ -3,8 +3,8 @@
 //!
 //! Four kernels run behind loopback `WorkerServer`s (what the
 //! `jungle-worker` binary hosts across machines), the coupler drives
-//! them with `SocketChannel`s, and the coupling kick fans out over a
-//! 3-worker `ShardedChannel` pool. At the end the run is compared —
+//! them with `ReactorChannel`s on one shared reactor, and the coupling
+//! kick fans out over a 3-worker `ShardedChannel` pool. At the end the run is compared —
 //! bitwise — against the same bridge over in-process channels: the
 //! transport is physically real but numerically invisible.
 //!
@@ -13,12 +13,13 @@
 //! ```
 
 use jungle::amuse::channel::{Channel, LocalChannel};
+use jungle::amuse::reactor::{Reactor, ReactorChannel};
 use jungle::amuse::shard::ShardedChannel;
 use jungle::amuse::socket::WorkerFleet;
 use jungle::amuse::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ParticleData, StellarWorker,
 };
-use jungle::amuse::{Bridge, ChannelStats, EmbeddedCluster, SocketChannel};
+use jungle::amuse::{Bridge, ChannelStats, EmbeddedCluster};
 use jungle::nbody::Backend;
 
 const COUPLING_SHARDS: usize = 3;
@@ -43,11 +44,15 @@ fn main() {
     let h_addr = fleet.spawn("gadget", move || HydroWorker::new(gas));
     let s_addr = fleet.spawn("sse", move || StellarWorker::new(imf, 0.02));
 
+    // one reactor carries every connection of the bridge, so the
+    // parallel evolve and the shard fan-out overlap on the wire
+    let reactor = Reactor::new_shared().expect("create reactor");
     let coupling_shards: Vec<Box<dyn Channel>> = (0..COUPLING_SHARDS)
         .map(|i| {
             let addr = fleet.spawn(format!("fi-{i}"), CouplingWorker::fi);
-            let ch = SocketChannel::connect(addr, format!("fi-{i}")).expect("connect shard");
-            println!("  coupling shard {i} on {}", ch.peer_addr().unwrap());
+            let ch =
+                ReactorChannel::connect(&reactor, addr, format!("fi-{i}")).expect("connect shard");
+            println!("  coupling shard {i} on {addr}");
             Box::new(ch) as Box<dyn Channel>
         })
         .collect();
@@ -58,10 +63,10 @@ fn main() {
     cfg.substeps = 4;
     cfg.stellar_interval = 2;
     let mut bridge = Bridge::new(
-        Box::new(SocketChannel::connect(g_addr, "phigrape").expect("connect gravity")),
-        Box::new(SocketChannel::connect(h_addr, "gadget").expect("connect hydro")),
+        Box::new(ReactorChannel::connect(&reactor, g_addr, "phigrape").expect("connect gravity")),
+        Box::new(ReactorChannel::connect(&reactor, h_addr, "gadget").expect("connect hydro")),
         Box::new(coupling),
-        Some(Box::new(SocketChannel::connect(s_addr, "sse").expect("connect stellar"))),
+        Some(Box::new(ReactorChannel::connect(&reactor, s_addr, "sse").expect("connect stellar"))),
         cfg.clone(),
     );
 

@@ -101,12 +101,20 @@ struct Slot {
 /// blocks until one of them is ready (or the timeout passes).
 pub struct Poller {
     slots: Mutex<Vec<Slot>>,
+    /// The `pollfd` array handed to `poll(2)`, reused across waits so a
+    /// steady-state wait allocates nothing.
+    #[cfg(unix)]
+    fds: Mutex<Vec<sys::PollFd>>,
 }
 
 impl Poller {
     /// Create an empty poller.
     pub fn new() -> io::Result<Poller> {
-        Ok(Poller { slots: Mutex::new(Vec::new()) })
+        Ok(Poller {
+            slots: Mutex::new(Vec::new()),
+            #[cfg(unix)]
+            fds: Mutex::new(Vec::new()),
+        })
     }
 
     /// Register `source` with the interest (and key) in `interest`.
@@ -165,15 +173,17 @@ impl Poller {
     #[cfg(unix)]
     fn wait_impl(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
         let slots = self.slots.lock().unwrap();
-        let mut fds: Vec<sys::PollFd> = slots
-            .iter()
-            .map(|s| sys::PollFd {
-                fd: s.fd,
-                events: (if s.interest.readable { sys::POLLIN } else { 0 })
-                    | (if s.interest.writable { sys::POLLOUT } else { 0 }),
-                revents: 0,
-            })
-            .collect();
+        let mut fds = self.fds.lock().unwrap();
+        fds.clear();
+        fds.extend(slots.iter().map(|s| sys::PollFd {
+            // a parked source is left out by fd -1: poll(2) would
+            // otherwise report its hangup regardless of `events`, waking
+            // the wait with no event the caller asked for
+            fd: if s.interest.readable || s.interest.writable { s.fd } else { -1 },
+            events: (if s.interest.readable { sys::POLLIN } else { 0 })
+                | (if s.interest.writable { sys::POLLOUT } else { 0 }),
+            revents: 0,
+        }));
         let timeout_ms: i32 = match timeout {
             None => -1,
             // round up so a sub-millisecond timeout still sleeps
@@ -323,6 +333,22 @@ mod tests {
         let n = poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
         assert_eq!(n, 0);
         drop(b);
+    }
+
+    #[test]
+    fn a_parked_hung_up_source_does_not_wake_the_wait() {
+        let (a, b) = pair();
+        drop(b);
+        // shut down both ways: poll(2) now reports POLLHUP for `a`
+        // whatever events it was asked about
+        a.shutdown(std::net::Shutdown::Both).unwrap();
+        let poller = Poller::new().unwrap();
+        poller.add(&a, Event::none(1)).unwrap();
+        let mut events = Events::new();
+        let t0 = std::time::Instant::now();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(30))).unwrap();
+        assert_eq!(n, 0);
+        assert!(t0.elapsed() >= Duration::from_millis(25), "woke early: {:?}", t0.elapsed());
     }
 
     #[test]

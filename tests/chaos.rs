@@ -11,7 +11,7 @@
 //!
 //! Two recovery tiers are exercised and distinguished:
 //!
-//! * transient faults are absorbed *in place* by the socket channel's
+//! * transient faults are absorbed *in place* by the TCP client's
 //!   sequence-numbered resend (worker-side dedup makes mutating
 //!   requests idempotent) — zero checkpoint restores;
 //! * worker crashes surface as fatal and take the heavy path —
@@ -26,7 +26,7 @@ use jungle::amuse::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ParticleData, StellarWorker,
 };
 use jungle::amuse::{
-    Bridge, BridgeConfig, ChaosWriter, Checkpoint, EmbeddedCluster, RecoveryPolicy, SocketChannel,
+    Bridge, BridgeConfig, ChaosWriter, Checkpoint, EmbeddedCluster, RecoveryPolicy,
 };
 use jungle::nbody::Backend;
 use std::cell::RefCell;
@@ -87,28 +87,13 @@ fn baseline() -> Reference {
     Reference { stars, gas, supernovae: bridge.total_supernovae(), time: bridge.model_time() }
 }
 
-/// Which transport a chaos soak drives its channels over.
-#[derive(Clone, Copy, PartialEq)]
-enum Transport {
-    /// Blocking [`SocketChannel`]s.
-    Blocking,
-    /// Event-driven [`ReactorChannel`]s on one shared [`Reactor`].
-    Reactor,
-}
-
 /// Run one seeded fault schedule over a live loopback TCP cluster with
-/// `k` coupling shards and compare the final state bitwise against the
+/// `k` coupling shards — every channel a [`ReactorChannel`] on one
+/// shared [`Reactor`] — and compare the final state bitwise against the
 /// fault-free reference. Returns `(recoveries, in_place_retries)` on
 /// convergence, a `JC_CHAOS_SEED=<seed>`-prefixed description on any
-/// divergence or unexpected failure. The same seed must converge over
-/// both [`Transport`]s: chaos draws happen at identical frame-op
-/// boundaries, so one schedule maps onto either implementation.
-fn run_chaos_seed(
-    seed: u64,
-    k: usize,
-    reference: &Reference,
-    transport: Transport,
-) -> Result<(u32, u64), String> {
+/// divergence or unexpected failure.
+fn run_chaos_seed(seed: u64, k: usize, reference: &Reference) -> Result<(u32, u64), String> {
     let plan = FaultPlan::seeded(seed);
     let fail = |msg: String| format!("JC_CHAOS_SEED={seed} (k={k}): {msg}");
     let c = cluster();
@@ -116,11 +101,8 @@ fn run_chaos_seed(
     let respawned: Rc<RefCell<Vec<std::thread::JoinHandle<std::io::Result<()>>>>> =
         Rc::new(RefCell::new(Vec::new()));
     let reactor = Reactor::new_shared().expect("reactor");
-    let connect = |addr: std::net::SocketAddr, name: String| -> std::io::Result<Box<dyn Channel>> {
-        match transport {
-            Transport::Blocking => Ok(Box::new(SocketChannel::connect(addr, name)?)),
-            Transport::Reactor => Ok(Box::new(ReactorChannel::connect(&reactor, addr, name)?)),
-        }
+    let connect = |addr: std::net::SocketAddr, name: &str| -> std::io::Result<Box<dyn Channel>> {
+        Ok(Box::new(ReactorChannel::connect(&reactor, addr, name)?))
     };
 
     // the healthy single workers — the plan only targets the pool
@@ -141,50 +123,34 @@ fn run_chaos_seed(
             let fuse = Arc::new(AtomicI64::new(plan.crash_fuse(k, i).unwrap_or(i64::MAX)));
             let (addr, h) = spawn_flaky_tcp_worker(format!("fi-{i}"), CouplingWorker::fi, fuse);
             handles.push(h);
-            let faults = plan.stream_faults(k, i);
-            match transport {
-                Transport::Blocking => Box::new(
-                    SocketChannel::connect(addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-                Transport::Reactor => Box::new(
-                    ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-            }
+            Box::new(
+                ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
+                    .expect("connect shard")
+                    .with_retry(retry)
+                    .with_chaos(plan.stream_faults(k, i)),
+            ) as Box<dyn Channel>
         })
         .collect();
 
     // supervisor: respawn a crashed shard as a fresh healthy server on
-    // the same transport the pool started with
+    // the pool's reactor
     let respawned_c = respawned.clone();
     let respawn_reactor = reactor.clone();
     let supervisor = move |i: usize| -> Option<Box<dyn Channel>> {
         let (addr, h) = spawn_tcp_worker(format!("fi-{i}-respawn"), CouplingWorker::fi);
         respawned_c.borrow_mut().push(h);
         let name = format!("fi-{i}-respawn");
-        match transport {
-            Transport::Blocking => {
-                Some(Box::new(SocketChannel::connect(addr, name).ok()?) as Box<dyn Channel>)
-            }
-            Transport::Reactor => {
-                Some(Box::new(ReactorChannel::connect(&respawn_reactor, addr, name).ok()?)
-                    as Box<dyn Channel>)
-            }
-        }
+        Some(Box::new(ReactorChannel::connect(&respawn_reactor, addr, name).ok()?)
+            as Box<dyn Channel>)
     };
     let pool =
         ShardedChannel::with_counts(shards, vec![0; k]).with_supervisor(Box::new(supervisor));
 
     let mut bridge = Bridge::new(
-        connect(g_addr, "grav".into()).expect("connect gravity"),
-        connect(h_addr, "hydro".into()).expect("connect hydro"),
+        connect(g_addr, "grav").expect("connect gravity"),
+        connect(h_addr, "hydro").expect("connect hydro"),
         Box::new(pool),
-        Some(connect(s_addr, "sse".into()).expect("connect stellar")),
+        Some(connect(s_addr, "sse").expect("connect stellar")),
         config(&c),
     );
 
@@ -245,7 +211,8 @@ fn run_chaos_seed(
     Ok((recoveries, retries))
 }
 
-fn sweep_all_seeds(transport: Transport) {
+#[test]
+fn every_seeded_fault_schedule_converges_to_the_fault_free_run() {
     let reference = baseline();
     let mut failures = Vec::new();
     let mut covered = [false; KINDS.len()];
@@ -256,7 +223,7 @@ fn sweep_all_seeds(transport: Transport) {
         let plan = FaultPlan::seeded(seed);
         let primary = plan.schedule(k)[0].kind;
         covered[KINDS.iter().position(|&kk| kk == primary).expect("primary from KINDS")] = true;
-        match run_chaos_seed(seed, k, &reference, transport) {
+        match run_chaos_seed(seed, k, &reference) {
             Ok((recoveries, retries)) => {
                 in_place += retries;
                 heavy += recoveries;
@@ -280,27 +247,13 @@ fn sweep_all_seeds(transport: Transport) {
     assert!(heavy > 0, "no heal/restore recoveries across {SEEDS} seeds");
 }
 
+/// Hand-built schedule of purely transient transport faults — a lost
+/// response, a torn frame, a corrupted header, a vanished peer — across
+/// both shards of a K=2 pool. Every one must be absorbed by the
+/// in-place sequence-numbered resend: zero checkpoint restores, a
+/// positive retry count, and bitwise-identical output.
 #[test]
-fn every_seeded_fault_schedule_converges_to_the_fault_free_run() {
-    sweep_all_seeds(Transport::Blocking);
-}
-
-/// The same 32 seeds through the event-driven transport: chaos draws
-/// land at identical frame-op boundaries, so every schedule must
-/// converge bitwise exactly as it does over blocking sockets —
-/// transient faults absorbed by in-place resends, crashes taking the
-/// respawn/restore path.
-#[test]
-fn every_seeded_fault_schedule_converges_over_the_reactor() {
-    sweep_all_seeds(Transport::Reactor);
-}
-
-// Hand-built schedule of purely transient transport faults — a lost
-// response, a torn frame, a corrupted header, a vanished peer — across
-// both shards of a K=2 pool. Every one must be absorbed by the in-place
-// sequence-numbered resend: zero checkpoint restores, a positive retry
-// count, and bitwise-identical output.
-fn transient_schedule(transport: Transport) {
+fn a_transient_schedule_completes_without_a_single_restore() {
     let reference = baseline();
     let reactor = Reactor::new_shared().expect("reactor");
     let c = cluster();
@@ -329,29 +282,21 @@ fn transient_schedule(transport: Transport) {
         .map(|(i, faults)| {
             let (addr, h) = spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
             handles.push(h);
-            match transport {
-                Transport::Blocking => Box::new(
-                    SocketChannel::connect(addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-                Transport::Reactor => Box::new(
-                    ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
-                        .expect("connect shard")
-                        .with_retry(retry)
-                        .with_chaos(faults),
-                ) as Box<dyn Channel>,
-            }
+            Box::new(
+                ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
+                    .expect("connect shard")
+                    .with_retry(retry)
+                    .with_chaos(faults),
+            ) as Box<dyn Channel>
         })
         .collect();
     let pool = ShardedChannel::with_counts(shards, vec![0; 2]);
 
     let mut bridge = Bridge::new(
-        Box::new(SocketChannel::connect(g_addr, "grav").expect("connect gravity")),
-        Box::new(SocketChannel::connect(h_addr, "hydro").expect("connect hydro")),
+        Box::new(ReactorChannel::connect(&reactor, g_addr, "grav").expect("connect gravity")),
+        Box::new(ReactorChannel::connect(&reactor, h_addr, "hydro").expect("connect hydro")),
         Box::new(pool),
-        Some(Box::new(SocketChannel::connect(s_addr, "sse").expect("connect stellar"))),
+        Some(Box::new(ReactorChannel::connect(&reactor, s_addr, "sse").expect("connect stellar"))),
         config(&c),
     );
 
@@ -377,16 +322,4 @@ fn transient_schedule(transport: Transport) {
     for h in handles {
         h.join().expect("server thread").expect("server exits cleanly");
     }
-}
-
-#[test]
-fn a_transient_schedule_completes_without_a_single_restore() {
-    transient_schedule(Transport::Blocking);
-}
-
-/// The same hand-built transient schedule absorbed entirely in place by
-/// the reactor transport's reconnect-and-resend discipline.
-#[test]
-fn a_transient_schedule_over_the_reactor_retries_in_place() {
-    transient_schedule(Transport::Reactor);
 }

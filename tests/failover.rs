@@ -15,15 +15,14 @@
 //!   over the survivors.
 
 use jungle::amuse::channel::{Channel, LocalChannel};
+use jungle::amuse::reactor::{Reactor, ReactorChannel};
 use jungle::amuse::shard::ShardedChannel;
 use jungle::amuse::socket::{spawn_flaky_tcp_worker, spawn_tcp_worker, WorkerFleet};
 use jungle::amuse::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ModelWorker, ParticleData, Request, Response,
     StellarWorker,
 };
-use jungle::amuse::{
-    Bridge, BridgeConfig, Checkpoint, EmbeddedCluster, RecoveryPolicy, SocketChannel,
-};
+use jungle::amuse::{Bridge, BridgeConfig, Checkpoint, EmbeddedCluster, RecoveryPolicy};
 use jungle::nbody::Backend;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -91,6 +90,7 @@ fn tcp_shard_killed_mid_iteration_recovers_bitwise() {
         // whatever is left — including supervisor respawns — instead of
         // leaking server threads blocked in accept.
         let fleet = Rc::new(RefCell::new(WorkerFleet::new()));
+        let reactor = Reactor::new_shared().expect("reactor");
 
         // the healthy single workers
         let (stars_ics, gas_ics, imf) =
@@ -112,27 +112,33 @@ fn tcp_shard_killed_mid_iteration_recovers_bitwise() {
                 let (addr, h) =
                     spawn_flaky_tcp_worker(format!("fi-{i}"), CouplingWorker::fi, fuses[i].clone());
                 fleet.borrow_mut().adopt(addr, h);
-                Box::new(SocketChannel::connect(addr, format!("fi-{i}")).expect("connect shard"))
-                    as Box<dyn Channel>
+                Box::new(
+                    ReactorChannel::connect(&reactor, addr, format!("fi-{i}"))
+                        .expect("connect shard"),
+                ) as Box<dyn Channel>
             })
             .collect();
 
         // supervisor: respawn a dead shard as a fresh (healthy) server
         let fleet_c = fleet.clone();
+        let respawn_reactor = reactor.clone();
         let supervisor = move |i: usize| -> Option<Box<dyn Channel>> {
             let (addr, h) = spawn_tcp_worker(format!("fi-{i}-respawn"), CouplingWorker::fi);
             fleet_c.borrow_mut().adopt(addr, h);
-            Some(Box::new(SocketChannel::connect(addr, format!("fi-{i}-respawn")).ok()?)
+            let name = format!("fi-{i}-respawn");
+            Some(Box::new(ReactorChannel::connect(&respawn_reactor, addr, name).ok()?)
                 as Box<dyn Channel>)
         };
         let pool =
             ShardedChannel::with_counts(shards, vec![0; k]).with_supervisor(Box::new(supervisor));
 
         let mut bridge = Bridge::new(
-            Box::new(SocketChannel::connect(g_addr, "grav").expect("connect gravity")),
-            Box::new(SocketChannel::connect(h_addr, "hydro").expect("connect hydro")),
+            Box::new(ReactorChannel::connect(&reactor, g_addr, "grav").expect("connect gravity")),
+            Box::new(ReactorChannel::connect(&reactor, h_addr, "hydro").expect("connect hydro")),
             Box::new(pool),
-            Some(Box::new(SocketChannel::connect(s_addr, "sse").expect("connect stellar"))),
+            Some(Box::new(
+                ReactorChannel::connect(&reactor, s_addr, "sse").expect("connect stellar"),
+            )),
             config(&c),
         );
 

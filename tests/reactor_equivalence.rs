@@ -1,14 +1,14 @@
-//! Equivalence layer: the event-driven reactor transport is pinned to
-//! the blocking one.
+//! Equivalence layer: the TCP client is pinned to the in-process
+//! reference.
 //!
-//! [`ReactorChannel`] speaks the same wire protocol as
-//! [`SocketChannel`] but through a non-blocking readiness loop with
-//! pipelined fan-out. Nothing about that may be *observable* except
-//! latency: every test here runs identical work over `LocalChannel`,
-//! `SocketChannel`, and `ReactorChannel` (for pool sizes K=1, 2, 3
-//! where sharding applies) and demands bitwise-equal model state and
-//! identical byte accounting. These tests are the contract that lets
-//! the bridge switch transports freely.
+//! [`ReactorChannel`] drives workers through a non-blocking readiness
+//! loop with pipelined fan-out. Nothing about that may be *observable*
+//! except latency: every test here runs identical work over
+//! `LocalChannel` and `ReactorChannel` (for pool sizes K=1, 2, 3 where
+//! sharding applies), and over blocking depth-1 round trips against
+//! pipelined ones, and demands bitwise-equal model state and identical
+//! byte accounting. These tests are the contract that lets the bridge
+//! switch transports freely.
 
 use jungle::amuse::channel::{Channel, LocalChannel};
 use jungle::amuse::reactor::{Reactor, ReactorChannel};
@@ -17,7 +17,8 @@ use jungle::amuse::socket::spawn_tcp_worker;
 use jungle::amuse::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ParticleData, Request, Response, StellarWorker,
 };
-use jungle::amuse::{Bridge, EmbeddedCluster, SocketChannel};
+use jungle::amuse::ChannelStats;
+use jungle::amuse::{Bridge, EmbeddedCluster};
 use jungle::nbody::plummer::plummer_sphere;
 use jungle::nbody::Backend;
 
@@ -58,8 +59,7 @@ fn run_local(iterations: usize) -> (ParticleData, ParticleData) {
 }
 
 /// A full Bridge run with all four model workers behind one shared
-/// reactor must be bitwise-identical to the all-local run (and hence,
-/// by `socket_channel.rs`, to the blocking-socket run).
+/// reactor must be bitwise-identical to the all-local run.
 #[test]
 fn bridge_over_reactor_is_bitwise_identical_to_local() {
     let c = cluster();
@@ -104,9 +104,51 @@ fn bridge_over_reactor_is_bitwise_identical_to_local() {
     assert!(bitwise_eq(&gas_rx, &gas_local), "gas state diverged over the reactor");
 }
 
-/// Pipelined pools over the reactor, K = 1, 2, 3: coupling
-/// scatter-gather and gravity state ops must match the blocking-socket
-/// pools and the unsharded local worker bit for bit.
+/// A K-shard coupling pool over one reactor, pipelined or lock-step:
+/// the accelerations from the fast path and from the generic
+/// submit/collect fan-out, plus the pool's accounting.
+fn coupling_pool_run(
+    k: usize,
+    lockstep: bool,
+    scene: &jungle::nbody::ParticleSet,
+) -> (Vec<[f64; 3]>, Vec<[f64; 3]>, ChannelStats) {
+    let reactor = Reactor::new_shared().unwrap();
+    let mut handles = Vec::new();
+    let shards: Vec<Box<dyn Channel>> = (0..k)
+        .map(|i| {
+            let (addr, h) = spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
+            handles.push(h);
+            Box::new(ReactorChannel::connect(&reactor, addr, format!("fi-{i}")).unwrap())
+                as Box<dyn Channel>
+        })
+        .collect();
+    let mut pool = ShardedChannel::with_counts(shards, vec![0; k]).with_lockstep(lockstep);
+    assert_eq!(pool.pipelined(), !lockstep, "k={k}");
+
+    let mut fast = Vec::new();
+    let flops = pool
+        .compute_kick_into(&scene.pos, &scene.pos, &scene.mass, &mut fast)
+        .expect("reactor pool compute_kick_into");
+    assert!(flops > 0.0);
+    let generic = match pool.call(Request::ComputeKick {
+        targets: scene.pos.clone(),
+        source_pos: scene.pos.clone(),
+        source_mass: scene.mass.clone(),
+    }) {
+        Response::Accelerations { acc, .. } => acc,
+        other => panic!("k={k}: {other:?}"),
+    };
+    let stats = pool.stats();
+    drop(pool);
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+    (fast, generic, stats)
+}
+
+/// Coupling pools over the reactor, K = 1, 2, 3: pipelined
+/// scatter-gather must match the blocking (lock-step) pool — bitwise,
+/// with identical accounting — and the unsharded local worker.
 #[test]
 fn reactor_pools_match_blocking_pools_for_k_1_2_3() {
     let scene = plummer_sphere(151, 23);
@@ -119,53 +161,18 @@ fn reactor_pools_match_blocking_pools_for_k_1_2_3() {
         Response::Accelerations { acc, .. } => acc,
         other => panic!("{other:?}"),
     };
+    let bits = |acc: &[[f64; 3]]| -> Vec<u64> {
+        acc.iter().flat_map(|a| a.iter().map(|x| x.to_bits())).collect()
+    };
 
     for k in 1..=3usize {
-        let reactor = Reactor::new_shared().unwrap();
-        let mut handles = Vec::new();
-        let shards: Vec<Box<dyn Channel>> = (0..k)
-            .map(|i| {
-                let (addr, h) = spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
-                handles.push(h);
-                Box::new(ReactorChannel::connect(&reactor, addr, format!("fi-{i}")).unwrap())
-                    as Box<dyn Channel>
-            })
-            .collect();
-        let mut pool = ShardedChannel::with_counts(shards, vec![0; k]);
-        assert!(pool.pipelined(), "reactor pool must report pipelined fan-out");
-
-        let mut acc = Vec::new();
-        let flops = pool
-            .compute_kick_into(&scene.pos, &scene.pos, &scene.mass, &mut acc)
-            .expect("reactor pool compute_kick_into");
-        assert!(flops > 0.0);
-        assert_eq!(acc.len(), expected.len(), "k={k}");
-        for (a, b) in acc.iter().zip(&expected) {
-            for j in 0..3 {
-                assert_eq!(a[j].to_bits(), b[j].to_bits(), "k={k}");
-            }
-        }
-
-        // the generic submit/collect fan-out too
-        match pool.call(Request::ComputeKick {
-            targets: scene.pos.clone(),
-            source_pos: scene.pos.clone(),
-            source_mass: scene.mass.clone(),
-        }) {
-            Response::Accelerations { acc, .. } => {
-                for (a, b) in acc.iter().zip(&expected) {
-                    for j in 0..3 {
-                        assert_eq!(a[j].to_bits(), b[j].to_bits(), "k={k} call path");
-                    }
-                }
-            }
-            other => panic!("k={k}: {other:?}"),
-        }
-
-        drop(pool);
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
+        let (fast, generic, stats) = coupling_pool_run(k, false, &scene);
+        assert_eq!(bits(&fast), bits(&expected), "k={k} fast path");
+        assert_eq!(bits(&generic), bits(&expected), "k={k} call path");
+        let (fast_b, generic_b, stats_b) = coupling_pool_run(k, true, &scene);
+        assert_eq!(bits(&fast_b), bits(&expected), "k={k} lock-step fast path");
+        assert_eq!(bits(&generic_b), bits(&expected), "k={k} lock-step call path");
+        assert_eq!(stats, stats_b, "k={k}: pipelining changed the accounting");
     }
 }
 
@@ -226,8 +233,7 @@ fn reactor_state_ops_match_local_pipelined_and_lockstep() {
 }
 
 /// Byte accounting through the reactor must equal the modeled
-/// `wire_size()` of every request and response — the same pin the
-/// blocking channel carries in `socket_channel.rs`.
+/// `wire_size()` of every request and response.
 #[test]
 fn reactor_stats_match_modeled_wire_sizes() {
     let c = cluster();
@@ -281,8 +287,8 @@ fn reactor_stats_match_modeled_wire_sizes() {
 }
 
 /// Two requests genuinely in flight on one connection: depth-2
-/// pipelining must deliver the same answers as two blocking round
-/// trips on a `SocketChannel` against an identical worker.
+/// pipelining must deliver the same answers and the same accounting as
+/// two blocking depth-1 round trips against an identical worker.
 #[test]
 fn depth_two_pipelining_matches_blocking_round_trips() {
     let ics = plummer_sphere(64, 5);
@@ -291,14 +297,17 @@ fn depth_two_pipelining_matches_blocking_round_trips() {
     let blocking = {
         let sub = ics.clone();
         let (addr, h) = spawn_tcp_worker("grav", move || GravityWorker::new(sub, Backend::Scalar));
-        let mut ch = SocketChannel::connect(addr, "grav").unwrap();
+        let reactor = Reactor::new_shared().unwrap();
+        let mut ch = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
         let mut snap = ParticleData::default();
         assert!(ch.snapshot_into(&mut snap));
         let r = ch.kick_slice(&dv);
         assert!(matches!(r, Response::Ok { .. }), "{r:?}");
+        assert!(ch.snapshot_into(&mut snap), "the kick landed");
+        let stats = ch.stats();
         drop(ch);
         h.join().unwrap().unwrap();
-        snap
+        (snap, stats)
     };
 
     let pipelined = {
@@ -313,10 +322,13 @@ fn depth_two_pipelining_matches_blocking_round_trips() {
         assert!(ch.collect_snapshot_into(&mut snap));
         let r = ch.collect_kick();
         assert!(matches!(r, Response::Ok { .. }), "{r:?}");
+        assert!(ch.snapshot_into(&mut snap), "the kick landed");
+        let stats = ch.stats();
         drop(ch);
         h.join().unwrap().unwrap();
-        snap
+        (snap, stats)
     };
 
-    assert!(bitwise_eq(&blocking, &pipelined), "depth-2 pipelining changed the snapshot");
+    assert!(bitwise_eq(&blocking.0, &pipelined.0), "depth-2 pipelining changed the state");
+    assert_eq!(blocking.1, pipelined.1, "depth-2 pipelining changed the accounting");
 }

@@ -10,12 +10,13 @@
 //! state equals the all-local, unsharded run bit for bit.
 
 use jungle::amuse::channel::{Channel, LocalChannel, ThreadChannel};
+use jungle::amuse::reactor::{Reactor, ReactorChannel};
 use jungle::amuse::shard::{partition, ShardedChannel};
 use jungle::amuse::socket::spawn_tcp_worker;
 use jungle::amuse::worker::{
     CouplingWorker, GravityWorker, HydroWorker, ParticleData, Request, Response, StellarWorker,
 };
-use jungle::amuse::{Bridge, EmbeddedCluster, SocketChannel};
+use jungle::amuse::{Bridge, EmbeddedCluster};
 use jungle::nbody::plummer::plummer_sphere;
 use jungle::nbody::Backend;
 
@@ -56,12 +57,13 @@ fn sharded_coupling_equivalence_over_threads_and_sockets() {
         check_pool(ShardedChannel::with_counts(shards, vec![0; k]), &scene, &expected, k);
 
         // socket pool
+        let reactor = Reactor::new_shared().unwrap();
         let mut handles = Vec::new();
         let shards: Vec<Box<dyn Channel>> = (0..k)
             .map(|i| {
                 let (addr, h) = spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
                 handles.push(h);
-                Box::new(SocketChannel::connect(addr, format!("fi-{i}")).unwrap())
+                Box::new(ReactorChannel::connect(&reactor, addr, format!("fi-{i}")).unwrap())
                     as Box<dyn Channel>
             })
             .collect();
@@ -122,6 +124,7 @@ fn sharded_state_ops_equivalence_over_sockets() {
     assert!(single.snapshot_into(&mut expected));
 
     for k in [2usize, 3] {
+        let reactor = Reactor::new_shared().unwrap();
         let counts = partition(40, k);
         let mut handles = Vec::new();
         let mut off = 0usize;
@@ -135,7 +138,7 @@ fn sharded_state_ops_equivalence_over_sockets() {
                     GravityWorker::new(sub, Backend::Scalar)
                 });
                 handles.push(h);
-                Box::new(SocketChannel::connect(addr, format!("grav-{i}")).unwrap())
+                Box::new(ReactorChannel::connect(&reactor, addr, format!("grav-{i}")).unwrap())
                     as Box<dyn Channel>
             })
             .collect();
@@ -191,12 +194,14 @@ fn bridge_with_sharded_socket_pool_matches_local_run() {
         spawn_tcp_worker("grav", move || GravityWorker::new(stars, Backend::Scalar));
     let (h_addr, h_h) = spawn_tcp_worker("hydro", move || HydroWorker::new(gas));
 
+    let reactor = Reactor::new_shared().unwrap();
     let mut handles = vec![g_h, h_h];
     let coupling_shards: Vec<Box<dyn Channel>> = (0..3)
         .map(|i| {
             let (addr, h) = spawn_tcp_worker(format!("fi-{i}"), CouplingWorker::fi);
             handles.push(h);
-            Box::new(SocketChannel::connect(addr, format!("fi-{i}")).unwrap()) as Box<dyn Channel>
+            Box::new(ReactorChannel::connect(&reactor, addr, format!("fi-{i}")).unwrap())
+                as Box<dyn Channel>
         })
         .collect();
     let coupling = ShardedChannel::with_counts(coupling_shards, vec![0; 3]);
@@ -217,8 +222,8 @@ fn bridge_with_sharded_socket_pool_matches_local_run() {
     let stellar = ShardedChannel::with_counts(stellar_shards, vec![0; 2]);
 
     let mut bridge = Bridge::new(
-        Box::new(SocketChannel::connect(g_addr, "grav").unwrap()),
-        Box::new(SocketChannel::connect(h_addr, "hydro").unwrap()),
+        Box::new(ReactorChannel::connect(&reactor, g_addr, "grav").unwrap()),
+        Box::new(ReactorChannel::connect(&reactor, h_addr, "hydro").unwrap()),
         Box::new(coupling),
         Some(Box::new(stellar)),
         cfg,

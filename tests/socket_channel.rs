@@ -1,20 +1,27 @@
-//! Integration: a full Bridge iteration over real TCP sockets.
+//! Integration: a full Bridge over real TCP sockets.
 //!
 //! Spawns the four model workers behind loopback `WorkerServer`s on
 //! ephemeral ports, runs the embedded-cluster bridge over
-//! [`SocketChannel`]s, and checks the result is *bitwise* equal to the
-//! same bridge over in-process [`LocalChannel`]s — the transport must be
-//! physically real but numerically invisible. Also pins the accounting:
-//! the socket channel's byte counters, measured from actual TCP traffic,
-//! must equal the modeled `wire_size()` sums.
+//! [`ReactorChannel`]s on one shared [`Reactor`] — with a checkpoint
+//! taken over the wire every iteration — and checks the result is
+//! *bitwise* equal to the same bridge over in-process
+//! [`LocalChannel`]s: the transport must be physically real but
+//! numerically invisible. Also pins the accounting (the byte counters,
+//! measured from actual TCP traffic, must equal the modeled
+//! `wire_size()` sums) and that channels sharing a reactor really do
+//! have their asynchronous calls in flight at the same time.
 
 use jungle::amuse::channel::{Channel, LocalChannel};
+use jungle::amuse::reactor::{Reactor, ReactorChannel};
 use jungle::amuse::socket::spawn_tcp_worker;
 use jungle::amuse::worker::{
-    CouplingWorker, GravityWorker, HydroWorker, ParticleData, Request, Response, StellarWorker,
+    CouplingWorker, GravityWorker, HydroWorker, ModelWorker, ParticleData, Request, Response,
+    StellarWorker,
 };
-use jungle::amuse::{Bridge, EmbeddedCluster, SocketChannel};
+use jungle::amuse::{Bridge, Checkpoint, EmbeddedCluster, RecoveryPolicy};
 use jungle::nbody::Backend;
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn bitwise_eq(a: &ParticleData, b: &ParticleData) -> bool {
     let f = |x: &[f64], y: &[f64]| {
@@ -63,18 +70,23 @@ fn bridge_over_tcp_is_bitwise_identical_to_local() {
     let (c_addr, c_h) = spawn_tcp_worker("fi", CouplingWorker::fi);
     let (s_addr, s_h) = spawn_tcp_worker("sse", move || StellarWorker::new(imf, 0.02));
 
+    let reactor = Reactor::new_shared().unwrap();
     let mut cfg = c.bridge_config();
     cfg.substeps = 2;
     cfg.stellar_interval = 1;
     let mut bridge = Bridge::new(
-        Box::new(SocketChannel::connect(g_addr, "grav").unwrap()),
-        Box::new(SocketChannel::connect(h_addr, "hydro").unwrap()),
-        Box::new(SocketChannel::connect(c_addr, "fi").unwrap()),
-        Some(Box::new(SocketChannel::connect(s_addr, "sse").unwrap())),
+        Box::new(ReactorChannel::connect(&reactor, g_addr, "grav").unwrap()),
+        Box::new(ReactorChannel::connect(&reactor, h_addr, "hydro").unwrap()),
+        Box::new(ReactorChannel::connect(&reactor, c_addr, "fi").unwrap()),
+        Some(Box::new(ReactorChannel::connect(&reactor, s_addr, "sse").unwrap())),
         cfg,
     );
+    // checkpoint every iteration: SaveState crosses the wire too
+    let policy = RecoveryPolicy { max_retries: 0, checkpoint_interval: 1 };
+    let mut checkpoint: Option<Checkpoint> = None;
     for _ in 0..2 {
-        let rep = bridge.iteration();
+        let (rep, recoveries) = bridge.iteration_recovering(&mut checkpoint, &policy).unwrap();
+        assert_eq!(recoveries, 0);
         assert!(rep.calls > 10, "socket bridge made {} calls", rep.calls);
     }
     let (stars_tcp, gas_tcp) = bridge.snapshots();
@@ -105,7 +117,8 @@ fn socket_stats_match_modeled_wire_sizes() {
     let stars = c.stars.clone();
     let (addr, handle) =
         spawn_tcp_worker("grav", move || GravityWorker::new(stars, Backend::Scalar));
-    let mut ch = SocketChannel::connect(addr, "grav").unwrap();
+    let reactor = Reactor::new_shared().unwrap();
+    let mut ch = ReactorChannel::connect(&reactor, addr, "grav").unwrap();
 
     let requests = vec![
         Request::Ping,
@@ -114,6 +127,7 @@ fn socket_stats_match_modeled_wire_sizes() {
         Request::SetMasses(c.stars.mass.clone()),
         Request::EvolveTo(1.0 / 128.0),
         Request::EvolveStars(1.0), // unsupported by gravity: still a round trip
+        Request::SaveState,        // the checkpoint frame is modeled exactly too
     ];
     let mut expect_out = 0u64;
     let mut expect_in = 0u64;
@@ -149,17 +163,56 @@ fn socket_stats_match_modeled_wire_sizes() {
     handle.join().unwrap().unwrap();
 }
 
-/// Asynchronous submit/collect works across the socket and actually
-/// overlaps two workers.
+/// A worker that refuses to evolve alone: on `EvolveTo` it announces
+/// itself to its partner and waits (bounded) for the partner's
+/// announcement, so it only answers `Ok` when both requests were in
+/// flight at the same time.
+struct Rendezvous {
+    inner: Box<dyn ModelWorker>,
+    arrived: mpsc::Sender<()>,
+    partner: mpsc::Receiver<()>,
+}
+
+impl ModelWorker for Rendezvous {
+    fn handle(&mut self, req: Request) -> Response {
+        if matches!(req, Request::EvolveTo(_)) {
+            let _ = self.arrived.send(());
+            // under the client's JC_NET_TIMEOUT_MS, so the loser of a
+            // serialized run gets this error rather than a wire timeout
+            if self.partner.recv_timeout(Duration::from_secs(2)).is_err() {
+                return Response::Error("evolved alone: the partner's request never came".into());
+            }
+        }
+        self.inner.handle(req)
+    }
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+}
+
+/// Asynchronous submit/collect on two channels sharing one reactor puts
+/// both requests in flight before either reply is awaited — the
+/// overlap the bridge's parallel gravity/hydro evolve relies on.
 #[test]
 fn socket_channels_overlap_evolves() {
     let c = cluster();
     let (stars, gas) = (c.stars.clone(), c.gas.clone());
-    let (g_addr, g_h) =
-        spawn_tcp_worker("grav", move || GravityWorker::new(stars, Backend::Scalar));
-    let (h_addr, h_h) = spawn_tcp_worker("hydro", move || HydroWorker::new(gas));
-    let mut g = SocketChannel::connect(g_addr, "grav").unwrap();
-    let mut h = SocketChannel::connect(h_addr, "hydro").unwrap();
+    let (g_tx, g_rx) = mpsc::channel();
+    let (h_tx, h_rx) = mpsc::channel();
+    let (g_addr, g_h) = spawn_tcp_worker("grav", move || Rendezvous {
+        inner: Box::new(GravityWorker::new(stars, Backend::Scalar)),
+        arrived: g_tx,
+        partner: h_rx,
+    });
+    let (h_addr, h_h) = spawn_tcp_worker("hydro", move || Rendezvous {
+        inner: Box::new(HydroWorker::new(gas)),
+        arrived: h_tx,
+        partner: g_rx,
+    });
+    let reactor = Reactor::new_shared().unwrap();
+    let mut g = ReactorChannel::connect(&reactor, g_addr, "grav").unwrap();
+    let mut h = ReactorChannel::connect(&reactor, h_addr, "hydro").unwrap();
     g.submit(Request::EvolveTo(1.0 / 64.0));
     h.submit(Request::EvolveTo(1.0 / 64.0));
     let (rg, rh) = (g.collect(), h.collect());
