@@ -1,7 +1,8 @@
 //! # jc-bench — the evaluation harness
 //!
-//! One binary per table/figure of the paper's evaluation (§6) plus
-//! Criterion benches for the ablations. The experiment index:
+//! One binary per table/figure of the paper's evaluation (§6), plus
+//! `perfsuite`, which times the kernel and transport rows against a
+//! committed `BENCH_*.json` baseline. The experiment index:
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -12,11 +13,6 @@
 //! | `fig10_overlay_view` | the IbisDeploy resource/job/overlay panels |
 //! | `fig11_traffic_view` | the traffic visualization (IPL vs MPI) |
 //! | `loopback_bandwidth` | the §5 ">8 Gbit/s loopback" claim |
-//! | bench `lab_scenarios` | wall-time of the modeled scenarios |
-//! | bench `kernels` | multi-kernel ablation (CPU/GPU, Fi/Octgrav, N sweep) |
-//! | bench `connectivity` | SmartSockets strategy ablation |
-//! | bench `channel_overhead` | local vs thread vs distributed channel cost |
-//! | bench `loopback` | loopback channel throughput |
 
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unreachable_pub)]

@@ -95,6 +95,13 @@ mod tests {
             select_adapter(&supported, &[MiddlewareKind::Pbs, MiddlewareKind::Ssh]),
             Ok(MiddlewareKind::Pbs)
         );
+        // Zorilla is the default order's last resort: chosen only when
+        // nothing conventional is supported.
+        assert_eq!(select_adapter(&[MiddlewareKind::Zorilla], &[]), Ok(MiddlewareKind::Zorilla));
+        assert_eq!(
+            select_adapter(&[MiddlewareKind::Zorilla, MiddlewareKind::Ssh], &[]),
+            Ok(MiddlewareKind::Ssh)
+        );
     }
 
     #[test]

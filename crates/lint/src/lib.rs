@@ -14,6 +14,7 @@
 //! | `no-alloc` | functions tagged `// jc-lint: no-alloc` never call `Vec::new` / `vec!` / `clone` / `format!` / friends |
 //! | `determinism` | kernel and checkpoint-replay crates never use `HashMap`/`HashSet` or wall-clock time |
 //! | `env-registry` | every `std::env::var("JC_*")` read is registered in `jc_core::envreg` and documented in the README |
+//! | `doc-paths` | every repo path cited in a code span of the README, `docs/*.md` or the skill notes exists |
 //!
 //! Like the offline shims, the tool is dependency-free: a small
 //! hand-rolled lexer ([`lexer`]) over the workspace sources, plus one
@@ -247,6 +248,12 @@ pub fn run_all(root: &Path) -> Vec<Diagnostic> {
     let registry = files.iter().find(|f| f.path == lints::env_registry::REGISTRY_PATH);
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
     diags.extend(lints::env_registry::check(&files, registry, &readme));
+
+    // Doc paths: every repo path the Markdown docs cite must exist.
+    for doc in lints::doc_paths::doc_files(root) {
+        let text = std::fs::read_to_string(root.join(&doc)).unwrap_or_default();
+        diags.extend(lints::doc_paths::check(root, &doc, &text));
+    }
 
     // The unsafe ledger must match the committed inventory.
     diags.extend(ledger::verify(root, &sites));

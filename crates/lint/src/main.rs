@@ -27,7 +27,8 @@ fn main() -> ExitCode {
                 println!(
                     "jc-lint: workspace invariant checker\n\n\
                      USAGE: jc-lint [--root DIR] [--write-ledger]\n\n\
-                     Lints: unsafe-audit, wire-exhaustiveness, no-alloc, determinism, env-registry.\n\
+                     Lints: unsafe-audit, wire-exhaustiveness, no-alloc, determinism, env-registry, \
+                     doc-paths.\n\
                      Waive a line with `// jc-lint: allow(<lint>): <reason>`;\n\
                      the reason is mandatory."
                 );
@@ -70,7 +71,7 @@ fn main() -> ExitCode {
 
     let diags = jc_lint::run_all(&root);
     if diags.is_empty() {
-        println!("jc-lint: workspace clean (5 lints, 0 findings)");
+        println!("jc-lint: workspace clean (6 lints, 0 findings)");
         return ExitCode::SUCCESS;
     }
     for d in &diags {

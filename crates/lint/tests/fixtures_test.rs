@@ -2,7 +2,7 @@
 //! are pinned (file, line, lint), a pass fixture that stays quiet, and
 //! the real workspace itself must be clean.
 
-use jc_lint::lints::{determinism, env_registry, no_alloc, unsafe_audit, wire};
+use jc_lint::lints::{determinism, doc_paths, env_registry, no_alloc, unsafe_audit, wire};
 use jc_lint::{Diagnostic, SourceFile};
 use std::path::PathBuf;
 
@@ -197,6 +197,38 @@ fn env_registry_pass_fixture_is_quiet() {
     let readme = std::fs::read_to_string(crate_dir().join("tests/fixtures/pass/env/readme.md"))
         .expect("fixture readme");
     let d = env_registry::check(&[code], Some(&registry), &readme);
+    assert!(d.is_empty(), "{d:#?}");
+}
+
+/// Check a doc-paths fixture against the real workspace tree.
+fn doc_paths_fixture(rel: &str) -> Vec<Diagnostic> {
+    let text = fixture(rel, "fixture.md").lines.join("\n");
+    doc_paths::check(&crate_dir().join("../.."), "fixture.md", &text)
+}
+
+#[test]
+fn doc_paths_fail_fixture_exact_diagnostics() {
+    let d = doc_paths_fixture("fail/doc_paths.md");
+    let cited: Vec<(u32, &str)> =
+        d.iter().map(|x| (x.line, x.message.split('`').nth(1).expect("path in message"))).collect();
+    assert_eq!(
+        cited,
+        vec![
+            (3, "crates/ipl/src/lib.rs"),
+            (4, "tests/migration.rs"),
+            (6, "crates/zorilla/tests/golden.rs"),
+            (9, "e2ebench/Missing.toml"),
+            (11, "crates/bench/benches/*.rs"),
+            (12, "shims/criterion/src/lib.rs"),
+        ],
+        "{d:#?}"
+    );
+    assert!(d.iter().all(|x| x.lint == "doc-paths" && x.path == "fixture.md"));
+}
+
+#[test]
+fn doc_paths_pass_fixture_is_quiet() {
+    let d = doc_paths_fixture("pass/doc_paths.md");
     assert!(d.is_empty(), "{d:#?}");
 }
 

@@ -12,7 +12,6 @@ pub use jc_compute as compute;
 pub use jc_core as core;
 pub use jc_deploy as deploy;
 pub use jc_gat as gat;
-pub use jc_ipl as ipl;
 pub use jc_nbody as nbody;
 pub use jc_netsim as netsim;
 pub use jc_service as service;
@@ -21,4 +20,3 @@ pub use jc_sph as sph;
 pub use jc_stellar as stellar;
 pub use jc_treegrav as treegrav;
 pub use jc_units as units;
-pub use jc_zorilla as zorilla;
